@@ -9,11 +9,11 @@ from mcgcocycles import (
     compose,
     induced_matrix,
     intersection,
-    invert_unimodular,
     is_symplectic,
     jablow,
     mat_mul,
     random_element,
+    symplectic_inverse,
     twist_catalog,
 )
 
@@ -46,10 +46,13 @@ rhs = mat_mul(induced_matrix(phi), induced_matrix(psi))
 print(f"\nThe matrix assignment is functorial on a random pair: {lhs == rhs}")
 
 m = induced_matrix(phi)
-inv = invert_unimodular(m)
-print(f"Exact unimodular inversion: M * M^-1 is the identity:",
+inv = symplectic_inverse(m)
+print(f"Symplectic inverse -J M^T J: M * M^-1 is the identity:",
       mat_mul(m, inv) == tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+print(f"  and it is the action of the inverse automorphism:",
+      inv == induced_matrix(phi.backward))
 try:
-    invert_unimodular(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    # the shear A2 -> A1 + A2 has determinant 1 but is not symplectic
+    symplectic_inverse(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 except ValueError as exc:
-    print(f"Non-unimodular input is rejected, not rounded: {exc}")
+    print(f"Non-symplectic input is rejected, not mis-inverted: {exc}")

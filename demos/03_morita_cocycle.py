@@ -16,7 +16,6 @@ from mcgcocycles import (
     induced_matrix,
     inner,
     intersection,
-    invert_unimodular,
     jablow,
     mat_vec,
     morita_f,
@@ -63,7 +62,7 @@ print(f"  on conjugations f is (2 - 2g)[x]: "
 p1 = random_element(F, 4, seed=7)
 p2 = random_element(F, 4, seed=8)
 comp = compose(p1, p2)
-rho2_inv = invert_unimodular(induced_matrix(p2))
+rho2_inv = induced_matrix(p2.backward)
 lhs = morita_f(comp)
 rhs = tuple(a + b for a, b in zip(mat_vec(rho2_inv, morita_f(p1)), morita_f(p2)))
 print(f"\nTwisted cocycle identity on a random pair:")

@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from .freegroup import FreeGroup
-from .homology import induced_matrix
 from .endomorphism import (
     Auto,
     Endo,
@@ -197,7 +196,7 @@ def cmd_eval(args) -> int:
     results: dict = {}
     for sel in selectors:
         if sel == "rho":
-            results["rho"] = _matrix_payload(induced_matrix(phi))
+            results["rho"] = _matrix_payload(witness.rho)
         elif sel == "morita-f-tilde":
             results["morita_f_tilde"] = list(f_tilde(witness))
         elif sel == "morita-f":
@@ -223,7 +222,7 @@ def cmd_eval(args) -> int:
     print(f"zeta conjugating witness u: {witness.conjugator}")
     if "rho" in results:
         print("homology action rho (rows):")
-        m = induced_matrix(phi)
+        m = witness.rho
         width = max(len(str(x)) for row in m for x in row)
         for row in m:
             print("  " + " ".join(str(x).rjust(width) for x in row))
@@ -258,6 +257,10 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        # a suite run with no samples would report its sampled checks as passed
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     checks = run_suite(args.suite, args.g, args.samples, args.seed)
     failed = [c for c in checks if not c.passed]
     if args.format == "structured":

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .endomorphism import MemberLike, require_membership
-from .homology import induced_matrix, invert_unimodular
 from .morita import morita_f
 
 QVector = tuple[Fraction, ...]
@@ -33,11 +32,10 @@ def a0(genus: int) -> QVector:
 
 def coboundary_a0(phi: MemberLike) -> QVector:
     """The twisted coboundary rho(phi)^-1 a0 - a0."""
-    endo = require_membership(phi).element
-    base = a0(endo.group.genus)
-    rho_inv = invert_unimodular(induced_matrix(endo))
+    member = require_membership(phi)
+    base = a0(member.element.group.genus)
     moved = tuple(
-        sum(row[j] * base[j] for j in range(len(base))) for row in rho_inv
+        sum(row[j] * base[j] for j in range(len(base))) for row in member.rho_inv
     )
     return tuple(moved[k] - base[k] for k in range(len(base)))
 

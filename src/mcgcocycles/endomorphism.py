@@ -19,10 +19,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
+from .homology import (
+    Matrix,
+    Vector,
+    dual,
+    identity_matrix,
+    induced_matrix,
+    is_symplectic,
+    symplectic_inverse,
+)
 
 
 class MembershipError(ValueError):
@@ -226,7 +235,10 @@ class NWitness:
     """An endomorphism together with u satisfying phi(zeta) = u zeta u^-1.
 
     Construction re-checks the defining equation, so holding an NWitness
-    is proof of membership in N.
+    is proof of membership in N.  The per-element quantities the cocycles
+    share (rho, rho^-1 and f_tilde) are computed on first use and kept,
+    and the witness is cached on its Endo, so each is computed once per
+    element however many cocycles are asked for.
     """
 
     element: Endo
@@ -237,6 +249,23 @@ class NWitness:
         zeta = group.zeta()
         if self.element(zeta) != zeta.conjugated_by(self.conjugator):
             raise ValueError("witness does not conjugate zeta to its image")
+
+    @cached_property
+    def rho(self) -> Matrix:
+        """The homology action rho(phi)."""
+        return induced_matrix(self.element)
+
+    @cached_property
+    def rho_inv(self) -> Matrix:
+        """rho(phi)^-1, by the checked symplectic closed form."""
+        return symplectic_inverse(self.rho)
+
+    @cached_property
+    def f_tilde(self) -> Vector:
+        """Poincare dual of x -> d(phi(x)) - d(x); see morita.f_tilde."""
+        from .morita import d  # morita imports this module
+
+        return dual(tuple(d(im) for im in self.element.images))
 
 
 def in_M_g1(phi: Endo) -> bool:
@@ -306,8 +335,6 @@ def twist_catalog(group: FreeGroup) -> tuple[Auto, ...]:
     raises immediately.  No claim is made that these generate anything,
     they only provide cheap variety for randomized identities.
     """
-    from .homology import identity_matrix, induced_matrix, is_symplectic
-
     g = group.genus
     entries: list[Auto] = []
     for k in range(1, g + 1):

@@ -122,68 +122,43 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def mat_neg(m: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in m)
-
-
-def det(m: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination; exact."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division is the Bareiss invariant
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _minor(m: Matrix, i: int, j: int) -> Matrix:
-    return tuple(
-        tuple(row[:j] + row[j + 1:])
-        for row in (m[:i] + m[i + 1:])
-    )
-
-
-def adjugate(m: Matrix) -> Matrix:
-    """Transposed cofactor matrix; m * adj(m) = det(m) * I."""
-    n = len(m)
-    return tuple(
-        tuple((-1) ** (i + j) * det(_minor(m, j, i)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def invert_unimodular(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Uses the adjugate, so the result is integral by construction; any
-    other determinant is rejected rather than rounded.
-    """
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular: det = {d}")
-    adj = adjugate(m)
-    if d == 1:
-        return adj
-    return mat_neg(adj)
-
-
 def is_symplectic(m: Matrix) -> bool:
-    """Whether m^T J m == J; such matrices are automatically unimodular."""
+    """Whether m^T J m == J; such matrices are automatically unimodular.
+
+    Entry (a, b) of m^T J m is the intersection number of columns a and
+    b.  Both sides are antisymmetric, so comparing the entries above the
+    diagonal decides equality; there J is 1 exactly where b = a + g.
+    """
     n = len(m)
     if n % 2 != 0 or any(len(row) != n for row in m):
         return False
-    j = symplectic_form(n // 2)
-    return mat_mul(mat_mul(transpose(m), j), m) == j
+    g = n // 2
+    cols = transpose(m)
+    return all(
+        intersection(cols[a], cols[b]) == (1 if b - a == g else 0)
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
+
+
+def symplectic_inverse(m: Matrix) -> Matrix:
+    """Exact inverse of a symplectic matrix by the closed form -J m^T J.
+
+    In g x g blocks [[A, B], [C, D]] the inverse is
+    [[D^T, -B^T], [-C^T, A^T]].  The closed form is the inverse only when
+    m^T J m == J, so any other matrix is rejected rather than given a
+    wrong answer; every rho(phi) with phi in N passes.
+    """
+    if not is_symplectic(m):
+        raise ValueError("matrix is not symplectic, so -J m^T J is not its inverse")
+    n = len(m)
+    g = n // 2
+    # entry (i, j) is m[j'][i'] with indices shifted by g, negated across blocks
+    return tuple(
+        tuple(
+            m[(j + g) % n][(i + g) % n] if (i < g) == (j < g)
+            else -m[(j + g) % n][(i + g) % n]
+            for j in range(n)
+        )
+        for i in range(n)
+    )

@@ -44,15 +44,7 @@ All values are integer vectors in the basis A_1..A_g, B_1..B_g.
 from __future__ import annotations
 
 from .freegroup import Word
-from .homology import (
-    Vector,
-    abelianize,
-    dual,
-    induced_matrix,
-    intersection,
-    invert_unimodular,
-    mat_vec,
-)
+from .homology import Vector, abelianize, intersection, mat_vec
 from .endomorphism import MemberLike, NWitness, require_membership
 
 ALPHA = 1
@@ -126,9 +118,26 @@ def d(w: Word) -> int:
     """Sum of the turning function over all handle projections.
 
     Satisfies d(x y) = d(x) + d(y) + [x].[y] on the full surface group,
-    and d of every generator is 0.
+    and d of every generator is 0.  One pass over the word reduces every
+    handle projection at once, each on its own stack; the result equals
+    ``sum(d_two_gen(project(w, i)) for i in 1..g)``.
     """
-    return sum(d_two_gen(project(w, i)) for i in range(1, w.group.genus + 1))
+    g = w.group.genus
+    stacks: list[list[int]] = [[] for _ in range(g)]
+    # route[c] is (stack, token) for the letter code c; a negative code
+    # indexes from the end of the list, where its entry is stored
+    route: list = [None] * (4 * g + 1)
+    for i, stack in enumerate(stacks, start=1):
+        for code, t in ((i, ALPHA), (g + i, BETA)):
+            route[code] = (stack, t)
+            route[-code] = (stack, -t)
+    for c in w.letters:
+        stack, t = route[c]
+        if stack and stack[-1] == -t:
+            stack.pop()
+        else:
+            stack.append(t)
+    return sum(d_two_gen(tuple(stack)) for stack in stacks)
 
 
 def f_tilde_at(phi: MemberLike, x: Word) -> int:
@@ -146,12 +155,10 @@ def f_tilde(phi: MemberLike) -> Vector:
     """Poincare dual of x -> d(phi(x)) - d(x) as a homology class.
 
     Evaluating the functional on the 2g generators determines it, d of a
-    single generator being 0.
+    single generator being 0.  The value is computed once per witness
+    (``NWitness.f_tilde``).
     """
-    witness = require_membership(phi)
-    endo = witness.element
-    values = tuple(d(im) for im in endo.images)
-    return dual(values)
+    return require_membership(phi).f_tilde
 
 
 def morita_f(phi: MemberLike, witness: Word | None = None) -> Vector:
@@ -164,16 +171,13 @@ def morita_f(phi: MemberLike, witness: Word | None = None) -> Vector:
     Passing an explicit witness word overrides the computed one; the
     value does not change, which the test suite checks.
     """
+    member = require_membership(phi)
+    u = member.conjugator
     if witness is not None:
-        nw = NWitness(require_membership(phi).element, witness)
-    else:
-        nw = require_membership(phi)
-    endo = nw.element
-    g = endo.group.genus
-    base = f_tilde(nw)
-    rho_inv = invert_unimodular(induced_matrix(endo))
-    correction = mat_vec(rho_inv, abelianize(nw.conjugator))
-    return tuple(base[k] - 2 * g * correction[k] for k in range(2 * g))
+        u = NWitness(member.element, witness).conjugator
+    g = member.element.group.genus
+    correction = mat_vec(member.rho_inv, abelianize(u))
+    return tuple(b - 2 * g * c for b, c in zip(member.f_tilde, correction))
 
 
 def pair_with(phi: MemberLike, x: Word) -> int:

@@ -17,7 +17,6 @@ from .homology import (
     abelianize,
     induced_matrix,
     intersection,
-    invert_unimodular,
     mat_vec,
 )
 from .endomorphism import (
@@ -208,7 +207,7 @@ def suite_cocycle_n(genera, samples, seed) -> list[CheckResult]:
             p1 = random_element(group, 4, seed=rng.randrange(1 << 30))
             p2 = random_element(group, 4, seed=rng.randrange(1 << 30))
             comp = compose(p1, p2)
-            rho2_inv = invert_unimodular(induced_matrix(p2))
+            rho2_inv = induced_matrix(p2.backward)
             lhs = f_tilde(comp)
             rhs = tuple(
                 a + b for a, b in zip(mat_vec(rho2_inv, f_tilde(p1)), f_tilde(p2))
@@ -274,7 +273,7 @@ def suite_descent(genera, samples, seed) -> list[CheckResult]:
                     detail = f"pair #{k} m={m}"
                     break
             comp = compose(p1, p2)
-            rho2_inv = invert_unimodular(induced_matrix(p2))
+            rho2_inv = induced_matrix(p2.backward)
             rhs = tuple(
                 a + b for a, b in zip(mat_vec(rho2_inv, base), morita_f(p2))
             )
@@ -323,7 +322,7 @@ def suite_earle(genera, samples, seed) -> list[CheckResult]:
             p1 = random_element(group, 4, seed=rng.randrange(1 << 30))
             p2 = random_element(group, 4, seed=rng.randrange(1 << 30))
             comp = compose(p1, p2)
-            rho2_inv = invert_unimodular(induced_matrix(p2))
+            rho2_inv = induced_matrix(p2.backward)
             v1 = earle_psi(p1)
             moved = tuple(
                 sum(Fraction(row[j]) * v1[j] for j in range(2 * g))

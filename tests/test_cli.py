@@ -212,6 +212,13 @@ def test_verify_bad_genus_range_exits_two():
     run_cli("verify", "nonsense", expect=2)
 
 
+def test_verify_rejects_nonpositive_samples():
+    for samples in ("0", "-5"):
+        proc = run_cli("verify", "descent", "--g", "2", "--samples", samples, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_main_in_process():
     assert main(["verify", "paper-vectors", "--g", "2", "--samples", "5"]) == 0
     assert main(["eval", "--in", "builtin:identity", "--g", "2"]) == 0

@@ -13,7 +13,6 @@ from mcgcocycles import (
     earle_psi,
     induced_matrix,
     inner,
-    invert_unimodular,
     jablow,
     over_canonical_denominator,
     random_element,
@@ -97,7 +96,7 @@ def test_psi_twisted_cocycle_identity():
             p1 = random_element(F, 4, seed=rng.randrange(1 << 30))
             p2 = random_element(F, 4, seed=rng.randrange(1 << 30))
             comp = compose(p1, p2)
-            rho2_inv = invert_unimodular(induced_matrix(p2))
+            rho2_inv = induced_matrix(p2.backward)
             v1 = earle_psi(p1)
             moved = tuple(
                 sum(Fraction(row[j]) * v1[j] for j in range(n))

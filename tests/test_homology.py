@@ -5,15 +5,12 @@ import pytest
 from mcgcocycles import (
     FreeGroup,
     abelianize,
-    adjugate,
     compose,
-    det,
     dual,
     identity_matrix,
     induced_matrix,
     inner,
     intersection,
-    invert_unimodular,
     is_symplectic,
     jablow,
     mat_mul,
@@ -21,9 +18,12 @@ from mcgcocycles import (
     random_element,
     random_word,
     symplectic_form,
+    symplectic_inverse,
     transpose,
     twist_catalog,
 )
+
+from matrix_oracle import adjugate, det, invert_unimodular
 
 
 def test_abelianize_examples():
@@ -135,6 +135,23 @@ def test_symplectic_checks():
     assert not is_symplectic(not_sp)
 
 
+def test_is_symplectic_matches_the_matrix_definition():
+    # m^T J m == J by matrix products, on actions, perturbed actions and noise
+    rng = random.Random(4)
+    for g in (2, 3, 4, 5):
+        F = FreeGroup(g)
+        J = symplectic_form(g)
+        for k in range(20):
+            m = induced_matrix(random_element(F, 4, seed=rng.randrange(1 << 30)))
+            bumped = [list(row) for row in m]
+            bumped[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice((-1, 1, 2))
+            noise = [[rng.randint(-1, 1) for _ in range(2 * g)] for _ in range(2 * g)]
+            for cand in (m, bumped, noise):
+                cand = tuple(map(tuple, cand))
+                want = mat_mul(mat_mul(transpose(cand), J), cand) == J
+                assert is_symplectic(cand) == want
+
+
 def test_det_and_adjugate():
     m = ((2, 3), (1, 4))
     assert det(m) == 5
@@ -145,28 +162,45 @@ def test_det_and_adjugate():
 
 
 def test_invert_unimodular_rejects_other_determinants():
+    diag_2111 = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for m in (((2, 0), (0, 1)), ((1, 2), (2, 4)), diag_2111):
+        with pytest.raises(ValueError):
+            invert_unimodular(m)
+        # the closed form rejects them too
+        with pytest.raises(ValueError):
+            symplectic_inverse(m)
+
+
+def test_symplectic_inverse_rejects_unimodular_non_symplectic():
+    # the g = 2 shear A2 -> A1 + A2 has determinant 1 but is not symplectic,
+    # and -J m^T J is not its inverse
+    m = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert det(m) == 1 and not is_symplectic(m)
+    J = symplectic_form(2)
+    minus_J = tuple(tuple(-x for x in row) for row in J)
+    assert mat_mul(mat_mul(minus_J, transpose(m)), J) != invert_unimodular(m)
     with pytest.raises(ValueError):
-        invert_unimodular(((2, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        invert_unimodular(((1, 2), (2, 4)))
+        symplectic_inverse(m)
 
 
 def test_invert_unimodular_randomized_and_symplectic_closed_form():
-    # cross-check the adjugate inverse against -J M^T J on symplectic input
+    # the closed form against the adjugate inverse and the certified inverse images
     rng = random.Random(1001)
-    for g in (2, 3, 4):
+    for g in (2, 3, 4, 5, 6):
         F = FreeGroup(g)
         J = symplectic_form(g)
         minus_J = tuple(tuple(-x for x in row) for row in J)
         eye = identity_matrix(2 * g)
         for k in range(15):
-            m = induced_matrix(random_element(F, 4, seed=rng.randrange(1 << 30)))
+            p = random_element(F, 4, seed=rng.randrange(1 << 30))
+            m = induced_matrix(p)
             inv = invert_unimodular(m)
             assert mat_mul(m, inv) == eye
             assert mat_mul(inv, m) == eye
             assert is_symplectic(m)
             closed_form = mat_mul(mat_mul(minus_J, transpose(m)), J)
             assert inv == closed_form
+            assert symplectic_inverse(m) == inv == induced_matrix(p.backward)
 
 
 def test_invert_unimodular_det_minus_one():

@@ -17,7 +17,6 @@ from mcgcocycles import (
     induced_matrix,
     inner,
     intersection,
-    invert_unimodular,
     jablow,
     mat_vec,
     morita_f,
@@ -115,6 +114,17 @@ def test_d_splits_over_handles():
     w = F.word("B1 A1 B1 a1 b1 a1 b1 B2 A2 B2 a2 b2 b2")
     assert d(w) == d_two_gen(project(w, 1)) + d_two_gen(project(w, 2))
     assert d(w) == 4 + 2
+
+
+def test_d_single_pass_matches_per_handle_projection():
+    rng = random.Random(2718)
+    for g in (2, 5, 12):
+        F = FreeGroup(g)
+        words = [random_word(F, rng.randint(0, 20_000), rng) for _ in range(4)]
+        words += [random_word(F, 20_000, rng)]
+        words += [jablow(F)(gen) for gen in F.generators()]
+        for w in words:
+            assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
 
 
 def test_f_tilde_rejects_non_members():
@@ -228,7 +238,7 @@ def test_twisted_cocycle_identity_for_both_integral_cocycles():
             p1 = random_element(F, 4, seed=rng.randrange(1 << 30))
             p2 = random_element(F, 4, seed=rng.randrange(1 << 30))
             comp = compose(p1, p2)
-            rho2_inv = invert_unimodular(induced_matrix(p2))
+            rho2_inv = induced_matrix(p2.backward)
             for fn in (f_tilde, morita_f):
                 assert fn(comp) == tuple(
                     a + b for a, b in zip(mat_vec(rho2_inv, fn(p1)), fn(p2))
