@@ -28,7 +28,6 @@ from .endomorphism import (
     Endo,
     MembershipError,
     NWitness,
-    apply,
     compose,
     from_mapping,
     identity_auto,
@@ -83,7 +82,6 @@ __all__ = [
     "Endo",
     "MembershipError",
     "NWitness",
-    "apply",
     "compose",
     "from_mapping",
     "identity_auto",

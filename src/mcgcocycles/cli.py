@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .freegroup import FreeGroup
 from .endomorphism import (
@@ -36,7 +35,7 @@ from .endomorphism import (
 )
 from .morita import f_tilde, morita_f
 from .earle import earle_psi, over_canonical_denominator
-from .verify import run_suite
+from .verify import SUITE_ORDER, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -101,15 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a self-check suite")
     p_verify.add_argument(
         "suite",
-        choices=(
-            "words",
-            "d-function",
-            "cocycle-n",
-            "descent",
-            "earle",
-            "paper-vectors",
-            "all",
-        ),
+        choices=SUITE_ORDER + ("all",),
     )
     p_verify.add_argument(
         "--g", type=_genus_range, default=(2, 3, 4, 5), help="genus or range like 2..5"
@@ -158,14 +149,10 @@ def _load_eval_input(args) -> tuple[Endo, str]:
     return phi, source
 
 
-def _fraction_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _psi_payload(vec, genus: int) -> dict:
     nums, den = over_canonical_denominator(vec, genus)
     return {
-        "lowest_terms": [_fraction_text(q) for q in vec],
+        "lowest_terms": [str(q) for q in vec],
         "numerators": list(nums),
         "denominator": den,
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .homology import mat_vec
 from .endomorphism import MemberLike, require_membership
 from .morita import morita_f
 
@@ -31,13 +32,16 @@ def a0(genus: int) -> QVector:
 
 
 def coboundary_a0(phi: MemberLike) -> QVector:
-    """The twisted coboundary rho(phi)^-1 a0 - a0."""
+    """The twisted coboundary rho(phi)^-1 a0 - a0.
+
+    (g - 1) a0 is the integer vector (0, ..., 0, 1, ..., 1), so rho^-1 is
+    applied to that in integers and each entry is divided by g - 1 once.
+    """
     member = require_membership(phi)
-    base = a0(member.element.group.genus)
-    moved = tuple(
-        sum(row[j] * base[j] for j in range(len(base))) for row in member.rho_inv
-    )
-    return tuple(moved[k] - base[k] for k in range(len(base)))
+    genus = member.element.group.genus
+    ones = (0,) * genus + (1,) * genus
+    moved = mat_vec(member.rho_inv, ones)
+    return tuple(Fraction(m - e, genus - 1) for m, e in zip(moved, ones))
 
 
 def earle_psi(phi: MemberLike) -> QVector:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
+from itertools import compress, count
+from operator import ne, neg
 from typing import Iterable, Optional, Union
 
 from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
@@ -49,11 +51,12 @@ class Endo:
     """A free-group endomorphism given by generator images.
 
     ``images`` lists the images of A_1..A_g, B_1..B_g in that order.
-    Instances are immutable in spirit; the only mutation is an internal
-    cache of the zeta-conjugacy test, which is derived data.
+    Instances are immutable in spirit; the only mutations are internal
+    caches of the zeta-conjugacy test and of the substitution table,
+    which are derived data.
     """
 
-    __slots__ = ("group", "images", "_member")
+    __slots__ = ("group", "images", "_member", "_table")
 
     def __init__(self, group: FreeGroup, images: Iterable[Word]):
         imgs = tuple(images)
@@ -67,21 +70,46 @@ class Endo:
         self.group = group
         self.images = imgs
         self._member: object = None  # None unknown, False no, NWitness yes
+        self._table: Optional[list] = None  # built by the first call
+
+    def _substitution_table(self) -> list:
+        """Image letters by signed code: entry c is the image of letter c.
+
+        A negative code indexes from the end of the list, where the
+        inverse image of its generator is stored.
+        """
+        table: list = [()] * (2 * self.group.rank + 1)
+        for code, im in enumerate(self.images, start=1):
+            table[code] = im.letters
+            table[-code] = tuple(map(neg, reversed(im.letters)))
+        return table
 
     def __call__(self, w: Word) -> Word:
-        """Apply to a word; the result is reduced in one pass."""
+        """Apply to a word; the result is reduced in one pass.
+
+        The output so far and each image are reduced, so letters can only
+        cancel at the seam between them: the longest tail of the output
+        that reads the inverse image backwards is dropped, and the rest of
+        the image appended, each at once.
+        """
         if w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
+        table = self._table
+        if table is None:
+            table = self._table = self._substitution_table()
         out: list[int] = []
+        extend = out.extend
         for c in w.letters:
-            img = self.images[abs(c) - 1].letters
-            if c < 0:
-                img = tuple(-t for t in reversed(img))
-            for t in img:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
+            img = table[c]
+            if out and img and out[-1] == -img[0]:
+                # first position where out, read backwards, stops matching
+                # the inverse image, also read backwards
+                j = next(compress(count(), map(ne, reversed(out), reversed(table[-c]))),
+                         min(len(out), len(img)))
+                del out[len(out) - j:]
+                extend(img[j:])
+            else:
+                extend(img)
         return Word._from_reduced(self.group, tuple(out))
 
     def __eq__(self, other: object) -> bool:
@@ -148,11 +176,6 @@ class Auto(Endo):
 
     def inverse(self) -> "Auto":
         return Auto._trusted(self.group, self.backward.images, self.images)
-
-
-def apply(phi: Endo, w: Word) -> Word:
-    """Function form of phi(w)."""
-    return phi(w)
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
@@ -243,11 +266,14 @@ class NWitness:
 
     element: Endo
     conjugator: Word
+    # phi(zeta) when the caller has computed it already; an init-only
+    # argument, neither stored nor compared, and checked like a fresh image
+    _zeta_image: InitVar[Optional[Word]] = None
 
-    def __post_init__(self):
-        group = self.element.group
-        zeta = group.zeta()
-        if self.element(zeta) != zeta.conjugated_by(self.conjugator):
+    def __post_init__(self, _zeta_image: Optional[Word]):
+        zeta = self.element.group.zeta()
+        image = self.element(zeta) if _zeta_image is None else _zeta_image
+        if image != zeta.conjugated_by(self.conjugator):
             raise ValueError("witness does not conjugate zeta to its image")
 
     @cached_property
@@ -282,8 +308,9 @@ def in_N(phi: Endo) -> Optional[NWitness]:
     """
     if phi._member is None:
         zeta = phi.group.zeta()
-        u = conjugator(phi(zeta), zeta)
-        phi._member = NWitness(phi, u) if u is not None else False
+        image = phi(zeta)
+        u = conjugator(image, zeta)
+        phi._member = NWitness(phi, u, image) if u is not None else False
     return phi._member or None
 
 

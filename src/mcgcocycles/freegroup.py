@@ -33,6 +33,8 @@ the empty word.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -46,11 +48,33 @@ class Letter(NamedTuple):
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 
+# the parser builds no token table (4g + 1 entries) above this genus, so
+# a huge genus costs no memory before the first token fails
+_TABLE_MAX_GENUS = 256
+
+
+@lru_cache(maxsize=16)
+def _token_table(genus: int) -> dict[str, int]:
+    """Signed letter code of every well-formed token; ``"1"`` maps to 0."""
+    table = {"1": 0}
+    for i in range(1, genus + 1):
+        for name, code in (("A", i), ("B", genus + i)):
+            table[f"{name}{i}"] = code
+            table[f"{name.lower()}{i}"] = -code
+    return table
+
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence with a single stack pass."""
+    """Freely reduce a letter sequence with a single stack pass.
+
+    A sequence in which no two neighbours sum to 0 is already reduced,
+    and that test runs at C speed, so reduced input skips the pass.
+    """
+    codes = tuple(letters)
+    if 0 not in map(add, codes, codes[1:]):
+        return codes
     out: list[int] = []
-    for c in letters:
+    for c in codes:
         if out and out[-1] == -c:
             out.pop()
         else:
@@ -143,11 +167,37 @@ class FreeGroup:
     def word(self, text: str) -> "Word":
         """Parse word text.
 
+        Well-formed tokens are looked up in a per-genus table; any other
+        token sends the whole text through the token grammar, which names
+        the first bad token.
+
         >>> FreeGroup(3).word("B3 a1").letters
         (6, -1)
         >>> FreeGroup(2).word("1").letters
         ()
+        >>> FreeGroup(2).word("A1 B1 b1").letters
+        (1,)
+        >>> FreeGroup(2).word("A01")
+        Traceback (most recent call last):
+        ...
+        ValueError: malformed generator token 'A01'
+        >>> FreeGroup(2).word("A3")
+        Traceback (most recent call last):
+        ...
+        ValueError: generator index 3 out of range 1..2
         """
+        if self.genus <= _TABLE_MAX_GENUS:
+            table = _token_table(self.genus)
+            try:
+                codes = tuple(filter(None, map(table.__getitem__, text.split())))
+            except KeyError:
+                pass
+            else:
+                return Word(self, codes)
+        return self._parse_tokens(text)
+
+    def _parse_tokens(self, text: str) -> "Word":
+        """Token by token through the grammar and letter_code; exact errors."""
         codes: list[int] = []
         for token in text.split():
             if token == "1":

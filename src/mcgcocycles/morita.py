@@ -44,7 +44,7 @@ All values are integer vectors in the basis A_1..A_g, B_1..B_g.
 from __future__ import annotations
 
 from .freegroup import Word
-from .homology import Vector, abelianize, intersection, mat_vec
+from .homology import Vector, abelianize, mat_vec
 from .endomorphism import MemberLike, NWitness, require_membership
 
 ALPHA = 1
@@ -118,26 +118,34 @@ def d(w: Word) -> int:
     """Sum of the turning function over all handle projections.
 
     Satisfies d(x y) = d(x) + d(y) + [x].[y] on the full surface group,
-    and d of every generator is 0.  One pass over the word reduces every
-    handle projection at once, each on its own stack; the result equals
+    and d of every generator is 0; the result equals
     ``sum(d_two_gen(project(w, i)) for i in 1..g)``.
+
+    Those two facts make d(w) the sum of [x_p].[x_q] over the letter
+    pairs p < q of w, and cancelling neighbours add nothing to that sum,
+    so the handle projections need no reduction.  On one handle each
+    beta^delta adds delta * (alpha sum before it - alpha sum after it);
+    with s the sum of delta * (alpha sum before it) over the betas and
+    a, b the handle's exponent sums, the handle's share is 2 s - a b.
+    On a reduced projection this is the syllable formula with each
+    syllable split into its alpha and its beta.
     """
     g = w.group.genus
-    stacks: list[list[int]] = [[] for _ in range(g)]
-    # route[c] is (stack, token) for the letter code c; a negative code
-    # indexes from the end of the list, where its entry is stored
-    route: list = [None] * (4 * g + 1)
-    for i, stack in enumerate(stacks, start=1):
-        for code, t in ((i, ALPHA), (g + i, BETA)):
-            route[code] = (stack, t)
-            route[-code] = (stack, -t)
+    alpha = [0] * (g + 1)
+    beta = [0] * (g + 1)
+    s = 0
     for c in w.letters:
-        stack, t = route[c]
-        if stack and stack[-1] == -t:
-            stack.pop()
+        if c > g:
+            s += alpha[c - g]
+            beta[c - g] += 1
+        elif c > 0:
+            alpha[c] += 1
+        elif c >= -g:
+            alpha[-c] -= 1
         else:
-            stack.append(t)
-    return sum(d_two_gen(tuple(stack)) for stack in stacks)
+            s -= alpha[-c - g]
+            beta[-c - g] -= 1
+    return 2 * s - sum(a * b for a, b in zip(alpha, beta))
 
 
 def f_tilde_at(phi: MemberLike, x: Word) -> int:
@@ -178,8 +186,3 @@ def morita_f(phi: MemberLike, witness: Word | None = None) -> Vector:
     g = member.element.group.genus
     correction = mat_vec(member.rho_inv, abelianize(u))
     return tuple(b - 2 * g * c for b, c in zip(member.f_tilde, correction))
-
-
-def pair_with(phi: MemberLike, x: Word) -> int:
-    """Intersection pairing of f_tilde(phi) with the class of x."""
-    return intersection(f_tilde(phi), abelianize(x))

@@ -51,10 +51,6 @@ class _Recorder:
         self.record(name, got == want, f"got {got!r}, want {want!r}")
 
 
-def _word_length(rng: random.Random, budget: int) -> int:
-    return rng.randint(0, budget)
-
-
 # -- expected value formulas (frozen) ---------------------------------------
 
 
@@ -101,9 +97,9 @@ def suite_words(genera, samples, seed) -> list[CheckResult]:
         ok_conj = True
         detail = ""
         for _ in range(samples):
-            x = random_word(group, _word_length(rng, 50), rng)
-            y = random_word(group, _word_length(rng, 50), rng)
-            z = random_word(group, _word_length(rng, 50), rng)
+            x = random_word(group, rng.randint(0, 50), rng)
+            y = random_word(group, rng.randint(0, 50), rng)
+            z = random_word(group, rng.randint(0, 50), rng)
             if (x * y) * z != x * (y * z) or not (x * x.inverse()).is_identity():
                 ok_laws = False
                 detail = f"x={x} y={y} z={z}"
@@ -121,8 +117,8 @@ def suite_words(genera, samples, seed) -> list[CheckResult]:
                 ok_cyc = False
                 detail = f"core {core} not cyclically reduced"
                 break
-            u = random_word(group, _word_length(rng, 10), rng)
-            w = random_word(group, _word_length(rng, 20), rng)
+            u = random_word(group, rng.randint(0, 10), rng)
+            w = random_word(group, rng.randint(0, 20), rng)
             found = conjugator(w.conjugated_by(u), w)
             if found is None or w.conjugated_by(found) != w.conjugated_by(u):
                 ok_conj = False
@@ -162,8 +158,8 @@ def suite_d_function(genera, samples, seed) -> list[CheckResult]:
         ok_inv = True
         detail = ""
         for _ in range(samples):
-            x = random_word(group, _word_length(rng, 50), rng)
-            y = random_word(group, _word_length(rng, 50), rng)
+            x = random_word(group, rng.randint(0, 50), rng)
+            y = random_word(group, rng.randint(0, 50), rng)
             want = d(x) + d(y) + intersection(abelianize(x), abelianize(y))
             if d(x * y) != want:
                 ok_prod = False
@@ -191,7 +187,7 @@ def suite_cocycle_n(genera, samples, seed) -> list[CheckResult]:
         ok_inner = True
         detail = ""
         for _ in range(samples):
-            x = random_word(group, _word_length(rng, 50), rng)
+            x = random_word(group, rng.randint(0, 50), rng)
             if f_tilde(inner(x)) != tuple(2 * v for v in abelianize(x)):
                 ok_inner = False
                 detail = f"x={x}"
@@ -216,8 +212,8 @@ def suite_cocycle_n(genera, samples, seed) -> list[CheckResult]:
                 ok_id = False
                 detail = f"pair #{k}"
                 break
-            x = random_word(group, _word_length(rng, 20), rng)
-            y = random_word(group, _word_length(rng, 20), rng)
+            x = random_word(group, rng.randint(0, 20), rng)
+            y = random_word(group, rng.randint(0, 20), rng)
             if f_tilde_at(p1, x * y) != f_tilde_at(p1, x) + f_tilde_at(p1, y):
                 ok_lin = False
                 detail = f"pair #{k} x={x} y={y}"
@@ -248,7 +244,7 @@ def suite_descent(genera, samples, seed) -> list[CheckResult]:
         ok_restrict = True
         detail = ""
         for _ in range(samples):
-            x = random_word(group, _word_length(rng, 30), rng)
+            x = random_word(group, rng.randint(0, 30), rng)
             if morita_f(inner(x)) != tuple((2 - 2 * g) * v for v in abelianize(x)):
                 ok_restrict = False
                 detail = f"x={x}"
@@ -307,7 +303,7 @@ def suite_earle(genera, samples, seed) -> list[CheckResult]:
         ok_restrict = True
         detail = ""
         for _ in range(samples):
-            x = random_word(group, _word_length(rng, 30), rng)
+            x = random_word(group, rng.randint(0, 30), rng)
             if earle_psi(inner(x)) != tuple(Fraction(v) for v in abelianize(x)):
                 ok_restrict = False
                 detail = f"x={x}"

@@ -36,6 +36,20 @@ def test_coboundary_on_jablow_is_minus_two_a0():
         assert coboundary_a0(jablow(F)) == tuple(-2 * q for q in a0(g))
 
 
+def test_coboundary_matches_the_per_entry_fraction_formula():
+    """The integer mat_vec form against rho^-1 applied to a0 entry by entry."""
+    rng = random.Random(4242)
+    for g in range(2, 7):
+        F = FreeGroup(g)
+        base = a0(g)
+        elements = [jablow(F), *twist_catalog(F)]
+        elements += [random_element(F, 5, seed=rng.randrange(1 << 30)) for _ in range(8)]
+        for phi in elements:
+            rho_inv = induced_matrix(phi.backward)
+            moved = tuple(sum(row[j] * base[j] for j in range(2 * g)) for row in rho_inv)
+            assert coboundary_a0(phi) == tuple(moved[k] - base[k] for k in range(2 * g))
+
+
 def test_coboundary_vanishes_on_homologically_trivial_elements():
     F = FreeGroup(2)
     assert coboundary_a0(inner(F.word("A1 B2"))) == (Fraction(0),) * 4

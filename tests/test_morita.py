@@ -127,6 +127,21 @@ def test_d_single_pass_matches_per_handle_projection():
             assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
 
 
+def test_d_is_the_intersection_sum_over_letter_pairs():
+    """d(w) = sum of [x_p].[x_q] over letters p < q, an O(n^2) definition."""
+    rng = random.Random(5772)
+    for _ in range(150):
+        F = FreeGroup(rng.randint(2, 6))
+        w = random_word(F, rng.randint(0, 60), rng)
+        classes = [abelianize(F.from_letters([c])) for c in w.letters]
+        pairs = sum(
+            intersection(classes[p], classes[q])
+            for p in range(len(classes))
+            for q in range(p + 1, len(classes))
+        )
+        assert d(w) == pairs
+
+
 def test_f_tilde_rejects_non_members():
     F = FreeGroup(2)
     images = (F.a(1), F.a(2), F.b(1), F.identity())

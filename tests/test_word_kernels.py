@@ -1,0 +1,209 @@
+"""The word-layer kernels against their slow references.
+
+Parsing and substitution are compared with ``word_oracle``, the
+membership witness with one built through the public constructor (which
+applies phi to zeta again), and ``d`` with the per-handle syllable
+formula ``d_two_gen(project(...))``.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+import word_oracle
+from mcgcocycles import (
+    Endo,
+    FreeGroup,
+    NWitness,
+    compose,
+    d,
+    d_two_gen,
+    in_N,
+    inner,
+    jablow,
+    project,
+    random_element,
+    random_word,
+    twist_catalog,
+)
+from mcgcocycles import freegroup
+
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", " \t ")
+
+
+def _token(group, c: int) -> str:
+    kind, index = ("A", abs(c)) if abs(c) <= group.genus else ("B", abs(c) - group.genus)
+    return f"{kind if c > 0 else kind.lower()}{index}"
+
+
+def _random_text(group, rng) -> str:
+    """Unreduced word text with stray 1s, cancelling pairs and mixed whitespace."""
+    tokens = []
+    for _ in range(rng.randint(0, 80)):
+        roll = rng.random()
+        if roll < 0.05:
+            tokens.append("1")
+            continue
+        c = rng.choice((1, -1)) * rng.randint(1, group.rank)
+        tokens.append(_token(group, c))
+        if roll < 0.2:
+            tokens.append(_token(group, -c))
+    text = rng.choice(("",) + SEPARATORS)
+    for tok in tokens:
+        text += tok + rng.choice(SEPARATORS)
+    return text
+
+
+def _twist_chain(group, handle: int, min_letters: int):
+    """jablow, then alternating A and B twists of one handle until an image is long.
+
+    The twisted handle's images grow like Fibonacci numbers.
+    """
+    catalog = twist_catalog(group)
+    twists = (catalog[handle - 1], catalog[group.genus + handle - 1])
+    phi = jablow(group)
+    k = 0
+    while max(len(im) for im in phi.images) < min_letters:
+        phi = compose(phi, twists[k % 2])
+        k += 1
+    return phi
+
+
+@pytest.mark.parametrize("g", (2, 5, 12))
+def test_parse_matches_oracle_on_random_text(g):
+    rng = random.Random(100 + g)
+    F = FreeGroup(g)
+    for _ in range(300):
+        text = _random_text(F, rng)
+        assert F.word(text).letters == word_oracle.parse(F, text)
+
+
+@pytest.mark.parametrize("g", (2, 5, 12))
+def test_apply_matches_oracle_on_random_words(g):
+    rng = random.Random(200 + g)
+    F = FreeGroup(g)
+    endos = [random_element(F, 4, seed=rng.randrange(1 << 30)) for _ in range(4)]
+    endos.append(inner(random_word(F, 30, rng)))
+    # arbitrary short images, the empty word among them, cancel at most seams
+    endos += [
+        Endo(F, [random_word(F, rng.randint(0, 4), rng) for _ in range(F.rank)])
+        for _ in range(6)
+    ]
+    for phi in endos:
+        for _ in range(25):
+            w = random_word(F, rng.randint(0, 200), rng)
+            assert phi(w).letters == word_oracle.substitute(phi, w)
+
+
+@pytest.mark.parametrize("g,handle", [(3, 1), (4, 4)])
+def test_parse_and_apply_match_oracle_on_long_images(g, handle):
+    F = FreeGroup(g)
+    phi = _twist_chain(F, handle, 20_000)
+    longest = max(phi.images, key=len)
+    assert len(longest) >= 20_000
+    for im in phi.images:
+        text = str(im)
+        assert F.word(text).letters == word_oracle.parse(F, text) == im.letters
+    # the long map on short words, with heavy cancellation for zeta
+    for w in (F.zeta(), F.zeta().inverse(), *F.generators(), random_word(F, 12, random.Random(g))):
+        assert phi(w).letters == word_oracle.substitute(phi, w)
+    # short maps on the long word
+    for psi in (jablow(F), *twist_catalog(F), inner(F.word("A1 b2"))):
+        assert psi(longest).letters == word_oracle.substitute(psi, longest)
+
+
+def test_apply_matches_oracle_on_inverse_images():
+    rng = random.Random(31)
+    for g in (2, 3, 5):
+        F = FreeGroup(g)
+        elements = [random_element(F, 6, seed=rng.randrange(1 << 30)) for _ in range(4)]
+        elements.append(_twist_chain(F, 1, 600))
+        for phi in elements:
+            inv = phi.inverse()
+            for w in [random_word(F, rng.randint(0, 40), rng) for _ in range(10)] + list(phi.images):
+                assert inv(w).letters == word_oracle.substitute(inv, w)
+            for k, gen in enumerate(F.generators()):
+                assert inv(phi.images[k]) == gen
+
+
+MALFORMED = (
+    "A0",
+    "A01",
+    "C1",
+    "A3",
+    "b3",
+    "a",
+    "x",
+    "A1 B1\tx",
+    "A1\n\n A0",
+    "1 A1 a01",
+    "AA1",
+    "A1B1",
+    "+A1",
+    "A-1",
+    "11",
+    "A١",
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_raises_the_oracle_message(text):
+    F = FreeGroup(2)
+    with pytest.raises(ValueError) as want:
+        word_oracle.parse(F, text)
+    with pytest.raises(ValueError) as got:
+        F.word(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_stray_ones_and_mixed_whitespace_parse_like_the_oracle():
+    F = FreeGroup(2)
+    for text in ("1", "1 1\t1", "", " \n ", "  A1\tB1\n1\r\n a1  b1 1 ", "B2 1 b2"):
+        assert F.word(text).letters == word_oracle.parse(F, text)
+
+
+def test_parser_above_the_table_genus_and_bounded_cache():
+    F = FreeGroup(freegroup._TABLE_MAX_GENUS + 1)
+    text = f"A{F.genus} b1 B1 a{F.genus} B{F.genus}"
+    assert F.word(text).letters == word_oracle.parse(F, text) == (2 * F.genus,)
+    maxsize = freegroup._token_table.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+
+
+class _CountingEndo(Endo):
+    """An Endo that counts its applications."""
+
+    def __call__(self, w):
+        self.calls += 1
+        return super().__call__(w)
+
+
+def test_in_N_applies_phi_to_zeta_once_and_keeps_the_check():
+    for g in (2, 3, 5):
+        F = FreeGroup(g)
+        for seed in range(5):
+            phi = _CountingEndo(F, random_element(F, 5, seed=seed).images)
+            phi.calls = 0
+            witness = in_N(phi)
+            assert phi.calls == 1
+            # the public constructor applies phi to zeta again and re-checks
+            recheck = NWitness(phi, witness.conjugator)
+            assert phi.calls == 2
+            assert witness == recheck and repr(witness) == repr(recheck)
+            # a handed image is checked like a computed one
+            with pytest.raises(ValueError):
+                NWitness(phi, witness.conjugator, phi(F.zeta()) * F.a(1))
+    assert [f.name for f in dataclasses.fields(NWitness)] == ["element", "conjugator"]
+    F = FreeGroup(2)
+    outsider = _CountingEndo(F, (F.a(1), F.a(2), F.b(1), F.identity()))
+    outsider.calls = 0
+    assert in_N(outsider) is None and outsider.calls == 1
+
+
+@pytest.mark.parametrize("g,handle", [(3, 2), (5, 5)])
+def test_d_matches_per_handle_syllables_on_long_images(g, handle):
+    F = FreeGroup(g)
+    phi = _twist_chain(F, handle, 20_000)
+    for w in (*phi.images, phi(F.zeta())):
+        assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))

@@ -1,0 +1,53 @@
+"""Token-by-token parsing and letter-by-letter substitution, kept as test oracles.
+
+The package parses word text through a per-genus token table and
+substitutes a whole generator image at a time, cancelling only at the
+seam.  This module keeps the routes those kernels replaced: every token
+through the regular grammar and ``FreeGroup.letter_code``, and every
+image letter pushed onto one reduction stack.  Both return plain letter
+tuples, reduced here, so the tests can compare them with the package.
+"""
+
+import re
+
+_TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
+
+
+def _reduce(letters) -> tuple[int, ...]:
+    out: list[int] = []
+    for c in letters:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def parse(group, text: str) -> tuple[int, ...]:
+    """Reduced letters of word text; malformed tokens raise ValueError."""
+    codes: list[int] = []
+    for token in text.split():
+        if token == "1":
+            continue
+        m = _TOKEN_RE.match(token)
+        if m is None:
+            raise ValueError(f"malformed generator token {token!r}")
+        name, index = m.group(1), int(m.group(2))
+        sign = 1 if name.isupper() else -1
+        codes.append(group.letter_code(name.upper(), index, sign))
+    return _reduce(codes)
+
+
+def substitute(phi, w) -> tuple[int, ...]:
+    """Reduced letters of phi(w), pushing one image letter at a time."""
+    out: list[int] = []
+    for c in w.letters:
+        img = phi.images[abs(c) - 1].letters
+        if c < 0:
+            img = tuple(-t for t in reversed(img))
+        for t in img:
+            if out and out[-1] == -t:
+                out.pop()
+            else:
+                out.append(t)
+    return tuple(out)
