@@ -7,7 +7,7 @@ elements presented as automorphisms (or zeta-conjugating endomorphisms)
 of the surface group.
 """
 
-from .freegroup import FreeGroup, Letter, Word, commutator, conjugator, random_word
+from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
 from .homology import (
     Matrix,
     Vector,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FreeGroup",
-    "Letter",
     "Word",
     "commutator",
     "conjugator",

@@ -35,7 +35,7 @@ from .endomorphism import (
 )
 from .morita import f_tilde, morita_f
 from .earle import earle_psi, over_canonical_denominator
-from .verify import SUITE_ORDER, run_suite
+from .verify import SUITE_ORDER, failures, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return EXIT_BAD_INPUT
     checks = run_suite(args.suite, args.g, args.samples, args.seed)
-    failed = [c for c in checks if not c.passed]
+    failed = failures(checks)
     if args.format == "structured":
         doc = {
             "command": "verify",

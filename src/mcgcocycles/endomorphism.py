@@ -437,16 +437,31 @@ def to_mapping(phi: Endo) -> dict:
     return doc
 
 
+# a key-mismatch error names at most this many keys of each kind, so its
+# length does not grow with the genus
+_SHOWN_KEYS = 8
+
+
+def _some_keys(keys: list) -> str:
+    if not keys:
+        return "none"
+    more = len(keys) - _SHOWN_KEYS
+    return str(keys[:_SHOWN_KEYS]) + (f" and {more} more" if more > 0 else "")
+
+
 def _parse_image_table(group: FreeGroup, obj: object, field: str) -> tuple[Word, ...]:
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be a mapping of generator tokens to words")
     gens = [str(gen) for gen in group.generators()]
+    known = set(gens)
     missing = [t for t in gens if t not in obj]
-    extra = [t for t in obj if t not in gens]
+    extra = [t for t in obj if t not in known]
     if missing or extra:
+        g = group.genus
+        keys = " ".join(gens) if len(gens) <= _SHOWN_KEYS else f"A1..A{g} B1..B{g}"
         raise ValueError(
-            f"{field} must have exactly the keys {' '.join(gens)}; "
-            f"missing {missing or 'none'}, unexpected {extra or 'none'}"
+            f"{field} must have exactly the keys {keys}; "
+            f"missing {_some_keys(missing)}, unexpected {_some_keys(extra)}"
         )
     images = []
     for token in gens:

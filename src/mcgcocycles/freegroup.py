@@ -35,15 +35,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Optional
-
-
-class Letter(NamedTuple):
-    """One generator occurrence: kind 'A' or 'B', index in 1..g, sign +-1."""
-
-    kind: str
-    index: int
-    sign: int
+from typing import Iterable, Iterator, Optional
 
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
@@ -124,15 +116,15 @@ class FreeGroup:
         code = index if kind == "A" else self.genus + index
         return sign * code
 
-    def decode_letter(self, code: int) -> Letter:
-        """Inverse of letter_code."""
+    def decode_letter(self, code: int) -> tuple[str, int, int]:
+        """Inverse of letter_code: (kind 'A' or 'B', index in 1..g, sign +-1)."""
         mag = abs(code)
         if not 1 <= mag <= self.rank:
             raise ValueError(f"letter code {code} out of range for genus {self.genus}")
         sign = 1 if code > 0 else -1
         if mag <= self.genus:
-            return Letter("A", mag, sign)
-        return Letter("B", mag - self.genus, sign)
+            return ("A", mag, sign)
+        return ("B", mag - self.genus, sign)
 
     def _letter_token(self, code: int) -> str:
         kind, index, sign = self.decode_letter(code)
@@ -303,10 +295,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"<Word {self} in {self.group!r}>"
-
-    def to_letters(self) -> tuple[Letter, ...]:
-        """Decode to (kind, index, sign) triples."""
-        return tuple(self.group.decode_letter(c) for c in self.letters)
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split off the conjugating prefix.

@@ -1,25 +1,30 @@
 """Named self-check suites behind the command line ``verify`` subcommand.
 
-Each suite is a function from (genera, samples, seed) to a list of check
-results.  Randomized checks draw from a seeded generator, so a repeated
-run is byte-for-byte identical.  Failures carry a counterexample in the
-detail field.
+A suite is a table of families.  A family is one seeded sampler and the
+named checks that each of its samples must pass, and ``run_checks``, the
+one runner, evaluates every check on every sample.  A check returns True
+when it holds; anything else (False, or the text of a mismatch) fails it,
+and a failed check keeps its first counterexample while the others run
+on.  The detail of a failure is the sample's index and text: the genus,
+the seeds of ``random_element(FreeGroup(g), 4, seed=S)`` and the word
+text, which rebuild the input.  Every suite draws from one generator in
+table order, so a repeated run is byte-for-byte identical.  The tests
+run the same samplers, checks and runner with their own seeds and counts.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Any, Callable, Iterable, Optional
 
 from .freegroup import FreeGroup, Word, conjugator, random_word
-from .homology import (
-    abelianize,
-    induced_matrix,
-    intersection,
-    mat_vec,
-)
+from .homology import abelianize, induced_matrix, intersection, mat_vec
 from .endomorphism import (
+    Auto,
+    _descending_b,
     compose,
     in_M_g1,
     in_N,
@@ -40,385 +45,400 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class _Recorder:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, passed, detail if not passed else ""))
-
-    def all_equal(self, name: str, got, want) -> None:
-        self.record(name, got == want, f"got {got!r}, want {want!r}")
+# -- samples and the runner --------------------------------------------------
 
 
-# -- expected value formulas (frozen) ---------------------------------------
+class Sample:
+    """One draw: a group, seeds of random elements, and named random words.
+
+    ``p1`` and ``p2`` are ``random_element(group, 4, seed=S)`` of the
+    seeds.  They and the other values the checks share are built on first
+    use and kept with the sample.  ``str()`` is the text that rebuilds it.
+    """
+
+    def __init__(self, group: FreeGroup, seeds: tuple[int, ...] = (),
+                 words: Optional[dict[str, Word]] = None):
+        self.group = group
+        self.seeds = seeds
+        self.words = dict(words or {})
+        self.__dict__.update(self.words)
+        self._values: dict = {}
+
+    def __str__(self) -> str:
+        parts = [f"g={self.group.genus}"]
+        parts += [f"p{i}_seed={seed}" for i, seed in enumerate(self.seeds, 1)]
+        parts += [f"{name}={str(w)!r}" for name, w in self.words.items()]
+        return " ".join(parts)
+
+    @cached_property
+    def p1(self) -> Auto:
+        return random_element(self.group, 4, seed=self.seeds[0])
+
+    @cached_property
+    def p2(self) -> Auto:
+        return random_element(self.group, 4, seed=self.seeds[1])
+
+    @cached_property
+    def comp(self) -> Auto:
+        """p1 p2, acting p2 first."""
+        return compose(self.p1, self.p2)
+
+    @cached_property
+    def rho2_inv(self):
+        """rho(p2)^-1, read off the inverse images."""
+        return induced_matrix(self.p2.backward)
+
+    @cached_property
+    def io(self) -> Auto:
+        """The involution of the paper."""
+        return jablow(self.group)
+
+    @cached_property
+    def composite(self) -> Auto:
+        """inner(B_g..B_1)^-1 composed with the involution."""
+        return compose(inner(_descending_b(self.group, 1).inverse()), self.io)
+
+    def value(self, cocycle: Callable, element: str):
+        """``cocycle`` of the named element, computed once per sample."""
+        key = (cocycle, element)
+        if key not in self._values:
+            self._values[key] = cocycle(getattr(self, element))
+        return self._values[key]
 
 
-def expected_f_tilde_jablow(g: int) -> tuple[int, ...]:
-    return (-2,) * g + tuple(2 * k - 2 * g - 4 for k in range(1, g + 1))
+def sampler(elements: int = 0, **words: int) -> Callable[[FreeGroup, random.Random], Sample]:
+    """Draw ``elements`` seeds, then each named word with 0..bound letters, in order."""
+
+    def draw(group: FreeGroup, rng: random.Random) -> Sample:
+        seeds = tuple(rng.randrange(1 << 30) for _ in range(elements))
+        drawn = {name: random_word(group, rng.randint(0, n), rng) for name, n in words.items()}
+        return Sample(group, seeds, drawn)
+
+    return draw
 
 
-def expected_f_tilde_composite(g: int) -> tuple[int, ...]:
-    return (-2,) * g + tuple(2 * k - 2 * g - 2 for k in range(1, g + 1))
+Check = Callable[[Any], Any]
 
 
-def expected_morita_f_jablow(g: int) -> tuple[int, ...]:
-    return (-2,) * g + tuple(2 * k - 4 for k in range(1, g + 1))
+def run_checks(checks: dict[str, Check], samples: Iterable, prefix: str = "") -> list[CheckResult]:
+    """Every check on every sample; a failed check keeps its first counterexample.
+
+    A check that saw no sample fails rather than passing vacuously.
+    """
+    first: dict[str, str] = {}
+    k = -1
+    for k, sample in enumerate(samples):
+        for name, check in checks.items():
+            verdict = check(sample)
+            if verdict is not True and name not in first:
+                found = "" if verdict is False else f"; {verdict}"
+                first[name] = f"sample #{k}: {sample}{found}"
+    if k < 0:
+        first = dict.fromkeys(checks, "no sample drawn")
+    return [CheckResult(prefix + name, name not in first, first.get(name, "")) for name in checks]
 
 
-def expected_psi_jablow(g: int) -> tuple[Fraction, ...]:
-    q = Fraction(1, g - 1)
-    return (q,) * g + tuple(-k * q for k in range(1, g + 1))
+def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
+    return [r for r in results if not r.passed]
 
 
-def expected_psi_composite(g: int) -> tuple[Fraction, ...]:
-    q = Fraction(1, g - 1)
-    return (q,) * g + tuple((g - 1 - k) * q for k in range(1, g + 1))
+def _once(samples: int) -> int:
+    return 1
 
 
-def _b_descending(group: FreeGroup) -> Word:
-    w = group.identity()
-    for ell in range(group.genus, 0, -1):
-        w = w * group.b(ell)
-    return w
+def _quarter(samples: int) -> int:
+    """Pair families draw fewer samples: each one builds two elements."""
+    return max(1, samples // 4)
 
 
-# -- suites -----------------------------------------------------------------
+# Family and Suite are plain classes: a frozen dataclass costs about a
+# millisecond of import time each, which every fresh process pays.
 
 
-def suite_words(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rng = random.Random(seed)
-    for g in genera:
-        group = FreeGroup(g)
-        ok_laws = True
-        ok_parse = True
-        ok_cyc = True
-        ok_conj = True
-        detail = ""
-        for _ in range(samples):
-            x = random_word(group, rng.randint(0, 50), rng)
-            y = random_word(group, rng.randint(0, 50), rng)
-            z = random_word(group, rng.randint(0, 50), rng)
-            if (x * y) * z != x * (y * z) or not (x * x.inverse()).is_identity():
-                ok_laws = False
-                detail = f"x={x} y={y} z={z}"
-                break
-            if group.word(str(x)) != x:
-                ok_parse = False
-                detail = f"x={x}"
-                break
-            core, prefix = x.cyclic_reduce()
-            if prefix * core * prefix.inverse() != x:
-                ok_cyc = False
-                detail = f"x={x}"
-                break
-            if len(core) >= 2 and core.letters[0] == -core.letters[-1]:
-                ok_cyc = False
-                detail = f"core {core} not cyclically reduced"
-                break
-            u = random_word(group, rng.randint(0, 10), rng)
-            w = random_word(group, rng.randint(0, 20), rng)
-            found = conjugator(w.conjugated_by(u), w)
-            if found is None or w.conjugated_by(found) != w.conjugated_by(u):
-                ok_conj = False
-                detail = f"u={u} w={w}"
-                break
-        rec.record(f"g={g} group laws and reduction", ok_laws, detail)
-        rec.record(f"g={g} text round trip", ok_parse, detail)
-        rec.record(f"g={g} cyclic reduction contract", ok_cyc, detail)
-        rec.record(f"g={g} conjugator soundness", ok_conj, detail)
-        rec.all_equal(
-            f"g={g} zeta has 4g letters", len(group.zeta()), 4 * g
-        )
-        rec.record(
-            f"g={g} conjugacy rejects shorter core",
-            conjugator(group.a(1), group.zeta()) is None,
-            "conjugator accepted words with different core lengths",
-        )
-    return rec.checks
+class Family:
+    """One sampler and the named checks every one of its samples must pass.
+
+    ``count`` maps the suite's ``samples`` to the samples drawn per genus.
+    """
+
+    def __init__(self, draw: Callable[[Optional[FreeGroup], random.Random], Any],
+                 checks: dict[str, Check], count: Callable[[int], int] = lambda n: n):
+        self.draw, self.checks, self.count = draw, checks, count
+
+    def run(self, group, samples: int, rng: random.Random, prefix: str = "") -> list[CheckResult]:
+        draws = (self.draw(group, rng) for _ in range(self.count(samples)))
+        return run_checks(self.checks, draws, prefix)
 
 
-def suite_d_function(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rng = random.Random(seed)
-    rec.all_equal(
-        "turning values on the three reference handle words",
-        (
-            d_two_gen((BETA, ALPHA, BETA, -ALPHA, -BETA, -ALPHA, -BETA)),
-            d_two_gen((BETA, ALPHA, BETA, -ALPHA, -BETA, -BETA)),
-            d_two_gen((BETA, ALPHA, -BETA, -ALPHA, -BETA)),
-        ),
-        (4, 2, -2),
-    )
-    rec.all_equal("normalization d(alpha beta) = 1", d_two_gen((ALPHA, BETA)), 1)
-    for g in genera:
-        group = FreeGroup(g)
-        ok_prod = True
-        ok_inv = True
-        detail = ""
-        for _ in range(samples):
-            x = random_word(group, rng.randint(0, 50), rng)
-            y = random_word(group, rng.randint(0, 50), rng)
-            want = d(x) + d(y) + intersection(abelianize(x), abelianize(y))
-            if d(x * y) != want:
-                ok_prod = False
-                detail = f"x={x} y={y}"
-                break
-            if d(x.inverse()) != -d(x):
-                ok_inv = False
-                detail = f"x={x}"
-                break
-        rec.record(f"g={g} product rule d(xy) = d(x) + d(y) + [x].[y]", ok_prod, detail)
-        rec.record(f"g={g} inversion rule d(x^-1) = -d(x)", ok_inv, detail)
-        rec.record(
-            f"g={g} d vanishes on generators",
-            all(d(gen) == 0 for gen in group.generators()),
-            "nonzero d on a generator",
-        )
-    return rec.checks
+class Suite:
+    """The ``head`` families once, then ``families`` at each genus, on one RNG."""
+
+    def __init__(self, families: tuple[Family, ...], head: tuple[Family, ...] = ()):
+        self.families, self.head = families, head
+
+    def __call__(self, genera, samples: int, seed: int) -> list[CheckResult]:
+        rng = random.Random(seed)
+        out = [r for family in self.head for r in family.run(None, samples, rng)]
+        for g in genera:
+            group = FreeGroup(g)
+            for family in self.families:
+                out += family.run(group, samples, rng, f"g={g} ")
+        return out
 
 
-def suite_cocycle_n(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rng = random.Random(seed)
-    for g in genera:
-        group = FreeGroup(g)
-        ok_inner = True
-        detail = ""
-        for _ in range(samples):
-            x = random_word(group, rng.randint(0, 50), rng)
-            if f_tilde(inner(x)) != tuple(2 * v for v in abelianize(x)):
-                ok_inner = False
-                detail = f"x={x}"
-                break
-        rec.record(f"g={g} f_tilde on conjugations is 2[x]", ok_inner, detail)
-
-        ok_id = True
-        ok_lin = True
-        ok_pair = True
-        detail = ""
-        pair_samples = max(1, samples // 4)
-        for k in range(pair_samples):
-            p1 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            p2 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            comp = compose(p1, p2)
-            rho2_inv = induced_matrix(p2.backward)
-            lhs = f_tilde(comp)
-            rhs = tuple(
-                a + b for a, b in zip(mat_vec(rho2_inv, f_tilde(p1)), f_tilde(p2))
-            )
-            if lhs != rhs:
-                ok_id = False
-                detail = f"pair #{k}"
-                break
-            x = random_word(group, rng.randint(0, 20), rng)
-            y = random_word(group, rng.randint(0, 20), rng)
-            if f_tilde_at(p1, x * y) != f_tilde_at(p1, x) + f_tilde_at(p1, y):
-                ok_lin = False
-                detail = f"pair #{k} x={x} y={y}"
-                break
-            if f_tilde_at(p1, x) != intersection(f_tilde(p1), abelianize(x)):
-                ok_pair = False
-                detail = f"pair #{k} x={x}"
-                break
-        rec.record(f"g={g} twisted cocycle identity for f_tilde", ok_id, detail)
-        rec.record(f"g={g} f_tilde_at additive in the argument", ok_lin, detail)
-        rec.record(f"g={g} f_tilde_at equals pairing with dual class", ok_pair, detail)
-
-        rec.record(
-            f"g={g} twist catalog fixes the boundary word",
-            all(in_M_g1(t) for t in twist_catalog(group)),
-            "catalog entry moved zeta",
-        )
-    return rec.checks
+# -- checks: each takes a sample and returns True when it holds ---------------
+#
+# Checks look the cocycles up in this module's globals when they run and
+# never bind them at import, so a wrapper rebound over those names (as
+# bench/tracing.py does) sees every call.
 
 
-def suite_descent(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rng = random.Random(seed)
-    for g in genera:
-        group = FreeGroup(g)
-        zeta = group.zeta()
-
-        ok_restrict = True
-        detail = ""
-        for _ in range(samples):
-            x = random_word(group, rng.randint(0, 30), rng)
-            if morita_f(inner(x)) != tuple((2 - 2 * g) * v for v in abelianize(x)):
-                ok_restrict = False
-                detail = f"x={x}"
-                break
-        rec.record(
-            f"g={g} restriction to conjugations is (2-2g)[x]", ok_restrict, detail
-        )
-
-        ok_witness = True
-        ok_id = True
-        ok_agree = True
-        detail = ""
-        pair_samples = max(1, samples // 4)
-        for k in range(pair_samples):
-            p1 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            p2 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            base = morita_f(p1)
-            u = in_N(p1).conjugator
-            for m in (-2, -1, 1, 2):
-                if morita_f(p1, witness=u * zeta**m) != base:
-                    ok_witness = False
-                    detail = f"pair #{k} m={m}"
-                    break
-            comp = compose(p1, p2)
-            rho2_inv = induced_matrix(p2.backward)
-            rhs = tuple(
-                a + b for a, b in zip(mat_vec(rho2_inv, base), morita_f(p2))
-            )
-            if morita_f(comp) != rhs:
-                ok_id = False
-                detail = f"pair #{k}"
-            boundary_fixing = compose(inner(u.inverse()), p1)
-            if morita_f(boundary_fixing) != f_tilde(boundary_fixing):
-                ok_agree = False
-                detail = f"pair #{k}"
-        rec.record(f"g={g} value independent of witness choice", ok_witness, detail)
-        rec.record(f"g={g} twisted cocycle identity for f", ok_id, detail)
-        rec.record(
-            f"g={g} agrees with f_tilde on boundary-fixing elements", ok_agree, detail
-        )
-
-        rec.record(
-            f"g={g} vanishes on conjugation by zeta",
-            all(morita_f(inner(zeta**m)) == (0,) * (2 * g) for m in (-2, -1, 0, 1, 2)),
-            "nonzero on a zeta power",
-        )
-    return rec.checks
+def _equal(got, want):
+    return True if got == want else f"got {got!r}, want {want!r}"
 
 
-def suite_earle(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rng = random.Random(seed)
-    for g in genera:
-        group = FreeGroup(g)
-
-        ok_restrict = True
-        detail = ""
-        for _ in range(samples):
-            x = random_word(group, rng.randint(0, 30), rng)
-            if earle_psi(inner(x)) != tuple(Fraction(v) for v in abelianize(x)):
-                ok_restrict = False
-                detail = f"x={x}"
-                break
-        rec.record(f"g={g} restriction to conjugations is [x]", ok_restrict, detail)
-
-        ok_id = True
-        ok_den = True
-        detail = ""
-        pair_samples = max(1, samples // 4)
-        for k in range(pair_samples):
-            p1 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            p2 = random_element(group, 4, seed=rng.randrange(1 << 30))
-            comp = compose(p1, p2)
-            rho2_inv = induced_matrix(p2.backward)
-            v1 = earle_psi(p1)
-            moved = tuple(
-                sum(Fraction(row[j]) * v1[j] for j in range(2 * g))
-                for row in rho2_inv
-            )
-            rhs = tuple(a + b for a, b in zip(moved, earle_psi(p2)))
-            if earle_psi(comp) != rhs:
-                ok_id = False
-                detail = f"pair #{k}"
-                break
-            try:
-                over_canonical_denominator(earle_psi(comp), g)
-            except ValueError:
-                ok_den = False
-                detail = f"pair #{k}"
-                break
-        rec.record(f"g={g} twisted cocycle identity for psi", ok_id, detail)
-        rec.record(f"g={g} (2g-2) psi is integral", ok_den, detail)
-
-        rec.record(
-            f"g={g} psi is not the bare base point coboundary",
-            earle_psi(jablow(group)) != coboundary_a0(jablow(group)),
-            "the integral cocycle term dropped out",
-        )
-    return rec.checks
+def group_laws(s: Sample) -> bool:
+    x, y, z = s.x, s.y, s.z
+    return (x * y) * z == x * (y * z) and (x * x.inverse()).is_identity()
 
 
-def suite_paper_vectors(genera, samples, seed) -> list[CheckResult]:
-    rec = _Recorder()
-    rec.all_equal(
-        "turning values on the three reference handle words",
-        (
-            d_two_gen((BETA, ALPHA, BETA, -ALPHA, -BETA, -ALPHA, -BETA)),
-            d_two_gen((BETA, ALPHA, BETA, -ALPHA, -BETA, -BETA)),
-            d_two_gen((BETA, ALPHA, -BETA, -ALPHA, -BETA)),
-        ),
-        (4, 2, -2),
-    )
-    for g in genera:
-        group = FreeGroup(g)
-        io = jablow(group)
-        rec.record(
-            f"g={g} involution squares to the identity",
-            all(io(io(gen)) == gen for gen in group.generators()),
-            "square is not the identity",
-        )
-        rec.all_equal(
-            f"g={g} involution negates homology",
-            induced_matrix(io),
-            tuple(
-                tuple(-1 if i == j else 0 for j in range(2 * g))
-                for i in range(2 * g)
-            ),
-        )
-        xb = _b_descending(group)
-        u = in_N(io).conjugator
-        rec.record(
-            f"g={g} boundary witness is B_g..B_1 up to a zeta power",
-            zeta_power_exponent(xb.inverse() * u) is not None,
-            f"witness {u}",
-        )
-        rec.all_equal(
-            f"g={g} f_tilde on the involution", f_tilde(io), expected_f_tilde_jablow(g)
-        )
-        comp = compose(inner(xb.inverse()), io)
-        rec.all_equal(
-            f"g={g} f_tilde on the composite with inner B_g..B_1 inverse",
-            f_tilde(comp),
-            expected_f_tilde_composite(g),
-        )
-        rec.all_equal(
-            f"g={g} integral cocycle on the involution",
-            morita_f(io),
-            expected_morita_f_jablow(g),
-        )
-        rec.all_equal(
-            f"g={g} rational cocycle on the involution",
-            earle_psi(io),
-            expected_psi_jablow(g),
-        )
-        rec.all_equal(
-            f"g={g} rational cocycle on the composite",
-            earle_psi(comp),
-            expected_psi_composite(g),
-        )
-        rec.all_equal(
-            f"g={g} base point shift on the involution",
-            coboundary_a0(io),
-            tuple(-2 * q for q in a0(g)),
-        )
-    return rec.checks
+def text_round_trip(s: Sample) -> bool:
+    return s.group.word(str(s.x)) == s.x
 
+
+def cyclic_reduction_contract(s: Sample) -> bool:
+    core, prefix = s.x.cyclic_reduce()
+    reduced = len(core) < 2 or core.letters[0] != -core.letters[-1]
+    return prefix * core * prefix.inverse() == s.x and reduced
+
+
+def conjugator_soundness(s: Sample) -> bool:
+    target = s.w.conjugated_by(s.u)
+    found = conjugator(target, s.w)
+    return found is not None and s.w.conjugated_by(found) == target
+
+
+def turning_values(words: dict) -> Any:
+    """The turning function on each handle word against its stated value."""
+    return _equal(tuple(map(d_two_gen, words)), tuple(words.values()))
+
+
+def d_product_rule(s: Sample) -> bool:
+    return d(s.x * s.y) == d(s.x) + d(s.y) + intersection(abelianize(s.x), abelianize(s.y))
+
+
+def d_inversion_rule(s: Sample) -> bool:
+    return d(s.x.inverse()) == -d(s.x)
+
+
+def d_vanishes_on_generators(s: Sample) -> bool:
+    return all(d(gen) == 0 for gen in s.group.generators())
+
+
+def cocycle_rule(cocycle: Callable, s: Sample) -> Any:
+    """The twisted cocycle rule c(p1 p2) = rho(p2)^-1 c(p1) + c(p2).
+
+    ``mat_vec`` is exact on an integer matrix times a Fraction vector, so
+    the rule serves the integral cocycles and Earle's psi alike.
+    """
+    moved = mat_vec(s.rho2_inv, s.value(cocycle, "p1"))
+    want = tuple(a + b for a, b in zip(moved, s.value(cocycle, "p2")))
+    return _equal(s.value(cocycle, "comp"), want)
+
+
+def f_tilde_on_conjugation(s: Sample) -> bool:
+    return f_tilde(inner(s.x)) == tuple(2 * v for v in abelianize(s.x))
+
+
+def f_tilde_at_additive(s: Sample) -> bool:
+    return f_tilde_at(s.p1, s.x * s.y) == f_tilde_at(s.p1, s.x) + f_tilde_at(s.p1, s.y)
+
+
+def f_tilde_at_is_pairing(s: Sample) -> bool:
+    return f_tilde_at(s.p1, s.x) == intersection(f_tilde(s.p1), abelianize(s.x))
+
+
+def morita_f_on_conjugation(s: Sample) -> bool:
+    return morita_f(inner(s.x)) == tuple((2 - 2 * s.group.genus) * v for v in abelianize(s.x))
+
+
+def witness_free(element: str = "p1", shifts: tuple[int, ...] = (-2, -1, 1, 2)) -> Check:
+    """morita_f of the element is the same with every witness u zeta^m."""
+
+    def check(s: Sample) -> bool:
+        phi = getattr(s, element)
+        u, zeta = in_N(phi).conjugator, s.group.zeta()
+        base = s.value(morita_f, element)
+        return all(morita_f(phi, witness=u * zeta**m) == base for m in shifts)
+
+    return check
+
+
+def boundary_fixing_agreement(s: Sample) -> bool:
+    fixed = compose(inner(in_N(s.p1).conjugator.inverse()), s.p1)
+    return morita_f(fixed) == f_tilde(fixed)
+
+
+def vanishes_on_zeta_conjugation(s: Sample) -> bool:
+    zeta = s.group.zeta()
+    return all(morita_f(inner(zeta**m)) == (0,) * s.group.rank for m in (-2, -1, 0, 1, 2))
+
+
+def psi_on_conjugation(s: Sample) -> bool:
+    return earle_psi(inner(s.x)) == tuple(Fraction(v) for v in abelianize(s.x))
+
+
+def psi_integral(element: str = "comp") -> Check:
+    """(2g-2) psi of the element is an integer vector."""
+
+    def check(s: Sample) -> Any:
+        g = s.group.genus
+        try:
+            nums, den = over_canonical_denominator(s.value(earle_psi, element), g)
+        except ValueError as exc:
+            return str(exc)
+        return den == 2 * g - 2 and all(isinstance(n, int) for n in nums)
+
+    return check
+
+
+# -- the paper's values (frozen) -----------------------------------------------
+
+# the turning function on the handle words that the involution's images
+# project to
+REFERENCE_TURNING = {
+    (BETA, ALPHA, BETA, -ALPHA, -BETA, -ALPHA, -BETA): 4,
+    (BETA, ALPHA, BETA, -ALPHA, -BETA, -BETA): 2,
+    (BETA, ALPHA, -BETA, -ALPHA, -BETA): -2,
+}
+
+
+def psi_is_not_bare_coboundary(s: Sample) -> bool:
+    return earle_psi(s.io) != coboundary_a0(s.io)
+
+
+def involution_squares(s: Sample) -> bool:
+    return all(s.io(s.io(gen)) == gen for gen in s.group.generators())
+
+
+def involution_negates_homology(s: Sample) -> Any:
+    n = s.group.rank
+    minus_one = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
+    return _equal(induced_matrix(s.io), minus_one)
+
+
+def boundary_witness(s: Sample) -> bool:
+    """The witness of the involution is B_g..B_1 up to a power of zeta."""
+    u = in_N(s.io).conjugator
+    return zeta_power_exponent(_descending_b(s.group, 1).inverse() * u) is not None
+
+
+def f_tilde_on_involution(s: Sample) -> Any:
+    g = s.group.genus
+    return _equal(f_tilde(s.io), (-2,) * g + tuple(2 * k - 2 * g - 4 for k in range(1, g + 1)))
+
+
+def f_tilde_on_composite(s: Sample) -> Any:
+    g = s.group.genus
+    want = (-2,) * g + tuple(2 * k - 2 * g - 2 for k in range(1, g + 1))
+    return _equal(f_tilde(s.composite), want)
+
+
+def morita_f_on_involution(s: Sample) -> Any:
+    g = s.group.genus
+    return _equal(morita_f(s.io), (-2,) * g + tuple(2 * k - 4 for k in range(1, g + 1)))
+
+
+def psi_on_involution(s: Sample) -> Any:
+    g, q = s.group.genus, Fraction(1, s.group.genus - 1)
+    return _equal(earle_psi(s.io), (q,) * g + tuple(-k * q for k in range(1, g + 1)))
+
+
+def psi_on_composite(s: Sample) -> Any:
+    g, q = s.group.genus, Fraction(1, s.group.genus - 1)
+    want = (q,) * g + tuple((g - 1 - k) * q for k in range(1, g + 1))
+    return _equal(earle_psi(s.composite), want)
+
+
+def coboundary_on_involution(s: Sample) -> Any:
+    return _equal(coboundary_a0(s.io), tuple(-2 * q for q in a0(s.group.genus)))
+
+
+# -- the suites ---------------------------------------------------------------
+
+_TURNING = Family(lambda group, rng: REFERENCE_TURNING, {
+    "turning values on the three reference handle words": turning_values,
+}, _once)
 
 SUITES = {
-    "words": suite_words,
-    "d-function": suite_d_function,
-    "cocycle-n": suite_cocycle_n,
-    "descent": suite_descent,
-    "earle": suite_earle,
-    "paper-vectors": suite_paper_vectors,
+    "words": Suite((
+        Family(sampler(x=50, y=50, z=50, u=10, w=20), {
+            "group laws and reduction": group_laws,
+            "text round trip": text_round_trip,
+            "cyclic reduction contract": cyclic_reduction_contract,
+            "conjugator soundness": conjugator_soundness,
+        }),
+        Family(sampler(), {
+            "zeta has 4g letters": lambda s: _equal(len(s.group.zeta()), 4 * s.group.genus),
+            "conjugacy rejects shorter core":
+                lambda s: conjugator(s.group.a(1), s.group.zeta()) is None,
+        }, _once),
+    )),
+    "d-function": Suite((
+        Family(sampler(x=50, y=50), {
+            "product rule d(xy) = d(x) + d(y) + [x].[y]": d_product_rule,
+            "inversion rule d(x^-1) = -d(x)": d_inversion_rule,
+        }),
+        Family(sampler(), {"d vanishes on generators": d_vanishes_on_generators}, _once),
+    ), head=(_TURNING, Family(lambda group, rng: {(ALPHA, BETA): 1}, {
+        "normalization d(alpha beta) = 1": turning_values,
+    }, _once))),
+    "cocycle-n": Suite((
+        Family(sampler(x=50), {"f_tilde on conjugations is 2[x]": f_tilde_on_conjugation}),
+        Family(sampler(elements=2, x=20, y=20), {
+            "twisted cocycle identity for f_tilde": lambda s: cocycle_rule(f_tilde, s),
+            "f_tilde_at additive in the argument": f_tilde_at_additive,
+            "f_tilde_at equals pairing with dual class": f_tilde_at_is_pairing,
+        }, _quarter),
+        Family(sampler(), {
+            "twist catalog fixes the boundary word":
+                lambda s: all(in_M_g1(t) for t in twist_catalog(s.group)),
+        }, _once),
+    )),
+    "descent": Suite((
+        Family(sampler(x=30), {
+            "restriction to conjugations is (2-2g)[x]": morita_f_on_conjugation,
+        }),
+        Family(sampler(elements=2), {
+            "value independent of witness choice": witness_free(),
+            "twisted cocycle identity for f": lambda s: cocycle_rule(morita_f, s),
+            "agrees with f_tilde on boundary-fixing elements": boundary_fixing_agreement,
+        }, _quarter),
+        Family(sampler(), {"vanishes on conjugation by zeta": vanishes_on_zeta_conjugation}, _once),
+    )),
+    "earle": Suite((
+        Family(sampler(x=30), {"restriction to conjugations is [x]": psi_on_conjugation}),
+        Family(sampler(elements=2), {
+            "twisted cocycle identity for psi": lambda s: cocycle_rule(earle_psi, s),
+            "(2g-2) psi is integral": psi_integral(),
+        }, _quarter),
+        Family(sampler(), {
+            "psi is not the bare base point coboundary": psi_is_not_bare_coboundary,
+        }, _once),
+    )),
+    "paper-vectors": Suite((
+        Family(sampler(), {
+            "involution squares to the identity": involution_squares,
+            "involution negates homology": involution_negates_homology,
+            "boundary witness is B_g..B_1 up to a zeta power": boundary_witness,
+            "f_tilde on the involution": f_tilde_on_involution,
+            "f_tilde on the composite with inner B_g..B_1 inverse": f_tilde_on_composite,
+            "integral cocycle on the involution": morita_f_on_involution,
+            "rational cocycle on the involution": psi_on_involution,
+            "rational cocycle on the composite": psi_on_composite,
+            "base point shift on the involution": coboundary_on_involution,
+        }, _once),
+    ), head=(_TURNING,)),
 }
 
 SUITE_ORDER = tuple(SUITES)

@@ -1,11 +1,16 @@
 import json
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from mcgcocycles import FreeGroup, from_mapping, jablow
+from mcgcocycles import FreeGroup, earle_psi, from_mapping, jablow
+from mcgcocycles import verify
 from mcgcocycles.cli import main
+from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
 
 
 def run_cli(*argv, expect=0):
@@ -226,3 +231,142 @@ def test_main_in_process():
 
 def test_invalid_cocycle_choice():
     run_cli("eval", "--in", "builtin:iota", "--g", "2", "--cocycle", "bogus", expect=2)
+
+
+def test_eval_key_mismatch_error_is_bounded(tmp_path, capsys):
+    small = tmp_path / "small.json"
+    images = {"A1": "A1", "A2": "A2", "B1": "B1", "C1": "1"}
+    small.write_text(json.dumps({"genus": 2, "images": images}))
+    assert main(["eval", "--in", str(small)]) == 2
+    assert capsys.readouterr().err == (
+        "error: images must have exactly the keys A1 A2 B1 B2; "
+        "missing ['B2'], unexpected ['C1']\n"
+    )
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"genus": 20000, "images": {}}))
+    assert main(["eval", "--in", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024
+    assert "and 39992 more" in err
+
+
+# the checks each suite runs at genus 2, in order; the benchmark's verify
+# workload counts on these numbers (words 6, d-function 2+3, cocycle-n 5,
+# descent 5, earle 4, paper-vectors 1+9)
+VERIFY_CONTRACT = {
+    "words": [
+        "g=2 group laws and reduction",
+        "g=2 text round trip",
+        "g=2 cyclic reduction contract",
+        "g=2 conjugator soundness",
+        "g=2 zeta has 4g letters",
+        "g=2 conjugacy rejects shorter core",
+    ],
+    "d-function": [
+        "turning values on the three reference handle words",
+        "normalization d(alpha beta) = 1",
+        "g=2 product rule d(xy) = d(x) + d(y) + [x].[y]",
+        "g=2 inversion rule d(x^-1) = -d(x)",
+        "g=2 d vanishes on generators",
+    ],
+    "cocycle-n": [
+        "g=2 f_tilde on conjugations is 2[x]",
+        "g=2 twisted cocycle identity for f_tilde",
+        "g=2 f_tilde_at additive in the argument",
+        "g=2 f_tilde_at equals pairing with dual class",
+        "g=2 twist catalog fixes the boundary word",
+    ],
+    "descent": [
+        "g=2 restriction to conjugations is (2-2g)[x]",
+        "g=2 value independent of witness choice",
+        "g=2 twisted cocycle identity for f",
+        "g=2 agrees with f_tilde on boundary-fixing elements",
+        "g=2 vanishes on conjugation by zeta",
+    ],
+    "earle": [
+        "g=2 restriction to conjugations is [x]",
+        "g=2 twisted cocycle identity for psi",
+        "g=2 (2g-2) psi is integral",
+        "g=2 psi is not the bare base point coboundary",
+    ],
+    "paper-vectors": [
+        "turning values on the three reference handle words",
+        "g=2 involution squares to the identity",
+        "g=2 involution negates homology",
+        "g=2 boundary witness is B_g..B_1 up to a zeta power",
+        "g=2 f_tilde on the involution",
+        "g=2 f_tilde on the composite with inner B_g..B_1 inverse",
+        "g=2 integral cocycle on the involution",
+        "g=2 rational cocycle on the involution",
+        "g=2 rational cocycle on the composite",
+        "g=2 base point shift on the involution",
+    ],
+}
+
+
+def test_verify_suites_pin_their_check_names_and_counts(capsys):
+    assert list(VERIFY_CONTRACT) == list(SUITES)
+    for suite, names in VERIFY_CONTRACT.items():
+        assert main(["verify", suite, "--g", "2", "--samples", "4", "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == names
+
+
+def _replay(detail):
+    """The sample index, the rebuilt sample and the verdict of a FAIL detail."""
+    head, _, verdict = detail.partition("; ")
+    index, text = re.fullmatch(r"sample #(\d+): (.*)", head).groups()
+    fields = dict(re.findall(r"(\w+)=('[^']*'|\d+)", text))
+    group = FreeGroup(int(fields.pop("g")))
+    seeds = tuple(int(fields.pop(key)) for key in ("p1_seed", "p2_seed") if key in fields)
+    words = {name: group.word(value.strip("'")) for name, value in fields.items()}
+    return int(index), Sample(group, seeds, words), verdict
+
+
+def test_verify_failed_check_leaves_the_others_running(monkeypatch):
+    """A failed check keeps its first counterexample and stops no other check."""
+    parse = FreeGroup.word
+
+    def word(self, text):  # text of more than 40 tokens gains a letter
+        w = parse(self, text)
+        return w * self.a(1) if len(text.split()) > 40 else w
+
+    family = SUITES["words"].families[0]
+    calls = Counter()
+    for name, check in family.checks.items():
+        def counted(s, name=name, check=check):
+            calls[name] += 1
+            return check(s)
+        monkeypatch.setitem(family.checks, name, counted)
+    monkeypatch.setattr(FreeGroup, "word", word)
+    results = {r.name: r for r in run_suite("words", [2], 50, 3)}
+    assert [name for name, r in results.items() if not r.passed] == ["g=2 text round trip"]
+    assert calls == {name: 50 for name in family.checks}
+
+    # the detail names the first of several samples whose word is that long
+    rng = random.Random(3)
+    xs = [family.draw(FreeGroup(2), rng).x for _ in range(50)]
+    long = [k for k, x in enumerate(xs) if len(x) > 40]
+    assert len(long) > 1
+    first = long[0]
+    monkeypatch.undo()
+    index, sample, _ = _replay(results["g=2 text round trip"].detail)
+    assert (index, sample.x) == (first, xs[first])
+    monkeypatch.setattr(FreeGroup, "word", word)
+    assert text_round_trip(sample) is False
+
+
+def test_verify_failure_detail_replays(monkeypatch):
+    compose = verify.compose
+    monkeypatch.setattr(verify, "compose", lambda outer, inner: compose(inner, outer))
+    failed = verify.failures(run_suite("earle", [3], 12, 5))
+    assert [r.name for r in failed] == ["g=3 twisted cocycle identity for psi"]
+    _, sample, verdict = _replay(failed[0].detail)
+    assert verdict.startswith("got ")
+    assert cocycle_rule(earle_psi, sample) == verdict
+
+
+def test_verify_check_without_samples_fails():
+    first = run_suite("words", [2], 0, 0)[0]
+    assert (first.name, first.passed, first.detail) == (
+        "g=2 group laws and reduction", False, "no sample drawn")

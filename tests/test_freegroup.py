@@ -3,6 +3,8 @@ import random
 import pytest
 
 from mcgcocycles import FreeGroup, Word, commutator, conjugator, random_word
+from mcgcocycles import verify
+from mcgcocycles.verify import failures, run_checks, sampler
 
 
 def test_genus_validation():
@@ -117,21 +119,16 @@ def test_genus_mixing_rejected():
 
 def test_group_laws_randomized():
     # associativity, inverses, reduction idempotence, text round trip
+    def units(s):
+        x, one = s.x, s.group.identity()
+        return (x.inverse().inverse() == x and x * one == x == one * x
+                and Word(s.group, x.letters) == x)
+
     rng = random.Random(12345)
-    count = 0
-    while count < 1000:
-        g = rng.randint(2, 5)
-        F = FreeGroup(g)
-        x = random_word(F, rng.randint(0, 50), rng)
-        y = random_word(F, rng.randint(0, 50), rng)
-        z = random_word(F, rng.randint(0, 50), rng)
-        assert (x * y) * z == x * (y * z)
-        assert (x * x.inverse()).is_identity()
-        assert (x.inverse().inverse()) == x
-        assert x * F.identity() == x and F.identity() * x == x
-        assert Word(F, x.letters) == x
-        assert F.word(str(x)) == x
-        count += 1
+    draw = sampler(x=50, y=50, z=50)
+    samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(1000))
+    checks = {"laws": verify.group_laws, "units": units, "round trip": verify.text_round_trip}
+    assert not failures(run_checks(checks, samples))
 
 
 def test_random_word_hits_requested_length():
@@ -143,23 +140,13 @@ def test_random_word_hits_requested_length():
 
 def test_conjugator_completeness_randomized():
     rng = random.Random(99)
-    for _ in range(300):
-        g = rng.randint(2, 4)
-        F = FreeGroup(g)
-        w = random_word(F, rng.randint(0, 25), rng)
-        u = random_word(F, rng.randint(0, 12), rng)
-        target = u * w * u.inverse()
-        found = conjugator(target, w)
-        assert found is not None
-        assert found * w * found.inverse() == target
+    draw = sampler(w=25, u=12)
+    samples = (draw(FreeGroup(rng.randint(2, 4)), rng) for _ in range(300))
+    assert not failures(run_checks({"conjugator": verify.conjugator_soundness}, samples))
 
 
 def test_cyclic_reduce_contract_randomized():
     rng = random.Random(4242)
-    for _ in range(400):
-        F = FreeGroup(rng.randint(2, 5))
-        x = random_word(F, rng.randint(0, 40), rng)
-        core, prefix = x.cyclic_reduce()
-        assert prefix * core * prefix.inverse() == x
-        if len(core) >= 2:
-            assert core.letters[0] != -core.letters[-1]
+    draw = sampler(x=40)
+    samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(400))
+    assert not failures(run_checks({"cyclic": verify.cyclic_reduction_contract}, samples))

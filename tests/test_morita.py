@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -12,21 +13,18 @@ from mcgcocycles import (
     d,
     d_two_gen,
     f_tilde,
-    f_tilde_at,
-    in_N,
-    induced_matrix,
     inner,
     intersection,
     jablow,
-    mat_vec,
     morita_f,
     project,
-    random_element,
     random_word,
     syllables,
     twist_catalog,
 )
 from mcgcocycles.endomorphism import Endo
+from mcgcocycles import verify
+from mcgcocycles.verify import Sample, failures, run_checks, sampler
 
 A, B = ALPHA, BETA
 
@@ -82,9 +80,7 @@ def test_syllables_shapes():
 
 
 def test_turning_reference_values():
-    assert d_two_gen((B, A, B, -A, -B, -A, -B)) == 4
-    assert d_two_gen((B, A, B, -A, -B, -B)) == 2
-    assert d_two_gen((B, A, -B, -A, -B)) == -2
+    assert verify.turning_values(verify.REFERENCE_TURNING) is True
 
 
 def test_turning_normalization_and_small_words():
@@ -99,14 +95,11 @@ def test_turning_normalization_and_small_words():
 
 def test_d_vanishes_on_generators_and_respects_products():
     rng = random.Random(1618)
-    for _ in range(400):
-        F = FreeGroup(rng.randint(2, 5))
-        for gen in F.generators():
-            assert d(gen) == 0
-        x = random_word(F, rng.randint(0, 50), rng)
-        y = random_word(F, rng.randint(0, 50), rng)
-        assert d(x * y) == d(x) + d(y) + intersection(abelianize(x), abelianize(y))
-        assert d(x.inverse()) == -d(x)
+    draw = sampler(x=50, y=50)
+    samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(400))
+    checks = {"generators": verify.d_vanishes_on_generators, "product": verify.d_product_rule,
+              "inverse": verify.d_inversion_rule}
+    assert not failures(run_checks(checks, samples))
 
 
 def test_d_splits_over_handles():
@@ -154,57 +147,39 @@ def test_f_tilde_rejects_non_members():
 
 def test_f_tilde_on_conjugations_randomized():
     rng = random.Random(31337)
-    for _ in range(300):
-        F = FreeGroup(rng.randint(2, 5))
-        x = random_word(F, rng.randint(0, 50), rng)
-        assert f_tilde(inner(x)) == tuple(2 * v for v in abelianize(x))
+    draw = sampler(x=50)
+    samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(300))
+    assert not failures(run_checks({"2[x]": verify.f_tilde_on_conjugation}, samples))
 
 
 def test_f_tilde_at_is_linear_and_pairs_with_dual():
     rng = random.Random(555)
-    F = FreeGroup(3)
-    for k in range(30):
-        phi = random_element(F, 4, seed=rng.randrange(1 << 30))
-        x = random_word(F, rng.randint(0, 25), rng)
-        y = random_word(F, rng.randint(0, 25), rng)
-        assert f_tilde_at(phi, x * y) == f_tilde_at(phi, x) + f_tilde_at(phi, y)
-        assert f_tilde_at(phi, x) == intersection(f_tilde(phi), abelianize(x))
+    draw = sampler(elements=1, x=25, y=25)
+    samples = (draw(FreeGroup(3), rng) for _ in range(30))
+    checks = {"linear": verify.f_tilde_at_additive, "dual": verify.f_tilde_at_is_pairing}
+    assert not failures(run_checks(checks, samples))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_f_tilde_on_jablow(g):
-    F = FreeGroup(g)
-    expected = (-2,) * g + tuple(2 * k - 2 * g - 4 for k in range(1, g + 1))
-    assert f_tilde(jablow(F)) == expected
+    assert verify.f_tilde_on_involution(Sample(FreeGroup(g))) is True
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_f_tilde_on_composite_with_inner(g):
-    F = FreeGroup(g)
-    xb = F.identity()
-    for ell in range(g, 0, -1):
-        xb = xb * F.b(ell)
-    comp = compose(inner(xb.inverse()), jablow(F))
-    expected = (-2,) * g + tuple(2 * k - 2 * g - 2 for k in range(1, g + 1))
-    assert f_tilde(comp) == expected
+    assert verify.f_tilde_on_composite(Sample(FreeGroup(g))) is True
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_morita_f_on_jablow(g):
-    F = FreeGroup(g)
-    expected = (-2,) * g + tuple(2 * k - 4 for k in range(1, g + 1))
-    assert morita_f(jablow(F)) == expected
+    assert verify.morita_f_on_involution(Sample(FreeGroup(g))) is True
 
 
 def test_morita_f_on_inner_is_chi_times_class():
     rng = random.Random(27)
-    for _ in range(200):
-        g = rng.randint(2, 5)
-        F = FreeGroup(g)
-        x = random_word(F, rng.randint(0, 30), rng)
-        assert morita_f(inner(x)) == tuple(
-            (2 - 2 * g) * v for v in abelianize(x)
-        )
+    draw = sampler(x=30)
+    samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(200))
+    assert not failures(run_checks({"(2-2g)[x]": verify.morita_f_on_conjugation}, samples))
 
 
 def test_morita_f_inner_a1_genus_two():
@@ -222,14 +197,9 @@ def test_morita_f_agrees_with_f_tilde_on_boundary_fixers():
 
 def test_morita_f_witness_independence():
     rng = random.Random(909)
-    F = FreeGroup(3)
-    z = F.zeta()
-    for k in range(25):
-        phi = random_element(F, 4, seed=rng.randrange(1 << 30))
-        base = morita_f(phi)
-        u = in_N(phi).conjugator
-        for m in (-2, -1, 1, 2):
-            assert morita_f(phi, witness=u * z ** m) == base
+    draw = sampler(elements=1)
+    samples = (draw(FreeGroup(3), rng) for _ in range(25))
+    assert not failures(run_checks({"witness": verify.witness_free()}, samples))
 
 
 def test_morita_f_rejects_wrong_witness():
@@ -239,22 +209,13 @@ def test_morita_f_rejects_wrong_witness():
 
 
 def test_morita_f_vanishes_on_zeta_conjugation():
-    F = FreeGroup(2)
-    z = F.zeta()
-    for m in (-2, -1, 0, 1, 2):
-        assert morita_f(inner(z ** m)) == (0, 0, 0, 0)
+    assert verify.vanishes_on_zeta_conjugation(Sample(FreeGroup(2)))
 
 
 def test_twisted_cocycle_identity_for_both_integral_cocycles():
     rng = random.Random(424242)
-    for g in (2, 3):
-        F = FreeGroup(g)
-        for k in range(40):
-            p1 = random_element(F, 4, seed=rng.randrange(1 << 30))
-            p2 = random_element(F, 4, seed=rng.randrange(1 << 30))
-            comp = compose(p1, p2)
-            rho2_inv = induced_matrix(p2.backward)
-            for fn in (f_tilde, morita_f):
-                assert fn(comp) == tuple(
-                    a + b for a, b in zip(mat_vec(rho2_inv, fn(p1)), fn(p2))
-                )
+    draw = sampler(elements=2)
+    samples = (draw(FreeGroup(g), rng) for g in (2, 3) for _ in range(40))
+    checks = {"f_tilde": partial(verify.cocycle_rule, f_tilde),
+              "f": partial(verify.cocycle_rule, morita_f)}
+    assert not failures(run_checks(checks, samples))
