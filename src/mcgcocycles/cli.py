@@ -30,6 +30,7 @@ from .endomorphism import (
     jablow,
     load_automorphism,
     require_membership,
+    save_automorphism,
     to_mapping,
     twist_catalog,
 )
@@ -229,17 +230,14 @@ def cmd_eval(args) -> int:
 
 def cmd_builtin(args) -> int:
     try:
-        group = FreeGroup(args.g)
-        phi = resolve_builtin(group, args.name)
-    except ValueError as exc:
+        phi = resolve_builtin(FreeGroup(args.g), args.name)
+        if args.out is None:
+            print(json.dumps(to_mapping(phi), indent=2))
+        else:
+            save_automorphism(phi, args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    text = json.dumps(to_mapping(phi), indent=2)
-    if args.out is None:
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import json
 import random
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import ne, neg
 from typing import Iterable, Optional, Union
 
@@ -125,11 +125,6 @@ class Endo:
     def __repr__(self) -> str:
         kind = type(self).__name__
         return f"<{kind} genus {self.group.genus}>"
-
-    def mapping_lines(self) -> list[str]:
-        """Human-readable 'generator -> image' lines."""
-        gens = self.group.generators()
-        return [f"{gens[k]} -> {self.images[k]}" for k in range(self.group.rank)]
 
 
 class Auto(Endo):
@@ -425,15 +420,13 @@ def random_element(group: FreeGroup, word_budget: int = 4, seed: int = 0) -> Aut
 def to_mapping(phi: Endo) -> dict:
     """Plain-data form: genus, images, and inverse images when certified."""
     group = phi.group
-    gens = group.generators()
+    keys = group.alphabet.tokens
     doc: dict = {
         "genus": group.genus,
-        "images": {str(gens[k]): str(phi.images[k]) for k in range(group.rank)},
+        "images": {keys[k]: str(im) for k, im in enumerate(phi.images, 1)},
     }
     if isinstance(phi, Auto):
-        doc["inverse_images"] = {
-            str(gens[k]): str(phi.backward.images[k]) for k in range(group.rank)
-        }
+        doc["inverse_images"] = {keys[k]: str(im) for k, im in enumerate(phi.backward.images, 1)}
     return doc
 
 
@@ -442,29 +435,40 @@ def to_mapping(phi: Endo) -> dict:
 _SHOWN_KEYS = 8
 
 
-def _some_keys(keys: list) -> str:
-    if not keys:
-        return "none"
-    more = len(keys) - _SHOWN_KEYS
-    return str(keys[:_SHOWN_KEYS]) + (f" and {more} more" if more > 0 else "")
+def _some_keys(keys: Iterable, total: int) -> str:
+    shown = list(islice(keys, _SHOWN_KEYS))
+    more = f" and {total - len(shown)} more" if total > len(shown) else ""
+    return str(shown) + more if shown else "none"
+
+
+def _is_generator_key(codes: dict, key: object) -> bool:
+    """Whether a document key names a generator, A1..Bg."""
+    try:
+        return isinstance(key, str) and codes[key] > 0
+    except ValueError:
+        return False
 
 
 def _parse_image_table(group: FreeGroup, obj: object, field: str) -> tuple[Word, ...]:
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be a mapping of generator tokens to words")
-    gens = [str(gen) for gen in group.generators()]
-    known = set(gens)
-    missing = [t for t in gens if t not in obj]
-    extra = [t for t in obj if t not in known]
-    if missing or extra:
-        g = group.genus
-        keys = " ".join(gens) if len(gens) <= _SHOWN_KEYS else f"A1..A{g} B1..B{g}"
+    codes, tokens, rank = group.alphabet.codes, group.alphabet.tokens, group.rank
+    extra = [key for key in obj if not _is_generator_key(codes, key)]
+    missing = rank - (len(obj) - len(extra))
+    if extra or missing:
+        if rank <= _SHOWN_KEYS:
+            keys = " ".join(map(tokens.__getitem__, range(1, rank + 1)))
+        else:
+            keys = f"A1..A{group.genus} B1..B{group.genus}"
+        # lazy: the walk over codes stops once the shown keys are found
+        absent = (tokens[c] for c in range(1, rank + 1) if tokens[c] not in obj)
         raise ValueError(
             f"{field} must have exactly the keys {keys}; "
-            f"missing {_some_keys(missing)}, unexpected {_some_keys(extra)}"
+            f"missing {_some_keys(absent, missing)}, "
+            f"unexpected {_some_keys(extra, len(extra))}"
         )
     images = []
-    for token in gens:
+    for token in map(tokens.__getitem__, range(1, rank + 1)):
         value = obj[token]
         if not isinstance(value, str):
             raise ValueError(f"{field}[{token}] must be word text")

@@ -18,7 +18,8 @@ never a caller obligation.
 
 Word text syntax: tokens separated by whitespace, ``A3``/``B3`` for
 generators, ``a3``/``b3`` for their inverses, and the literal ``1`` for
-the empty word.
+the empty word.  One pair of tables per genus holds the text form in
+both directions, filled as tokens and codes are first asked for.
 
 >>> F = FreeGroup(2)
 >>> w = F.word("A1 B2 b2 a1 B1")
@@ -33,27 +34,64 @@ the empty word.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Optional
 
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 
-# the parser builds no token table (4g + 1 entries) above this genus, so
-# a huge genus costs no memory before the first token fails
-_TABLE_MAX_GENUS = 256
+
+class _Table(dict):
+    """A dict that fills a missing key from ``decode``, which raises ValueError if it is invalid."""
+
+    def __init__(self, decode, items=()):
+        super().__init__(items)
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
 
 
-@lru_cache(maxsize=16)
-def _token_table(genus: int) -> dict[str, int]:
-    """Signed letter code of every well-formed token; ``"1"`` maps to 0."""
-    table = {"1": 0}
-    for i in range(1, genus + 1):
-        for name, code in (("A", i), ("B", genus + i)):
-            table[f"{name}{i}"] = code
-            table[f"{name.lower()}{i}"] = -code
-    return table
+class _Alphabet:
+    """One genus's ``codes`` by token (``"1"`` is 0), ``tokens`` by code, generators and zeta.
+
+    The tables hold only the keys asked for, at most 4g + 1 each, and the
+    words are built on first use, so a large genus costs nothing unasked.
+    """
+
+    def __init__(self, group: "FreeGroup"):
+        self.group = group
+        self.codes = _Table(self._code, {"1": 0})
+        self.tokens = _Table(self._token)
+
+    def _code(self, token: str) -> int:
+        m = _TOKEN_RE.match(token)
+        if m is None:
+            raise ValueError(f"malformed generator token {token!r}")
+        name, index = m.groups()
+        return self.group.letter_code(name.upper(), int(index), 1 if name.isupper() else -1)
+
+    def _token(self, code: int) -> str:
+        g = self.group.genus
+        if not isinstance(code, int) or not 1 <= abs(code) <= 2 * g:
+            raise ValueError(f"letter code {code} out of range for genus {g}")
+        kind, index = ("A", abs(code)) if abs(code) <= g else ("B", abs(code) - g)
+        return f"{kind if code > 0 else kind.lower()}{index}"
+
+    @cached_property
+    def generators(self) -> tuple["Word", ...]:
+        return tuple(Word(self.group, (code,)) for code in range(1, self.group.rank + 1))
+
+    @cached_property
+    def zeta(self) -> "Word":
+        g = self.group.genus
+        return Word(self.group, [c for k in range(1, g + 1) for c in (k, g + k, -k, -g - k)])
+
+
+# one alphabet per genus, shared by the equal FreeGroup objects built while it is cached
+_alphabet = lru_cache(maxsize=16)(_Alphabet)
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -78,15 +116,16 @@ class FreeGroup:
     """Ambient context: the free group of rank 2g, g >= 2.
 
     Instances compare equal by genus, so words built from two separate
-    ``FreeGroup(3)`` objects interoperate.
+    ``FreeGroup(3)`` objects interoperate; they share one ``alphabet``.
     """
 
-    __slots__ = ("genus",)
+    __slots__ = ("genus", "alphabet")
 
     def __init__(self, genus: int):
         if not isinstance(genus, int) or genus < 2:
             raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
         self.genus = genus
+        self.alphabet = _alphabet(self)
 
     @property
     def rank(self) -> int:
@@ -116,21 +155,6 @@ class FreeGroup:
         code = index if kind == "A" else self.genus + index
         return sign * code
 
-    def decode_letter(self, code: int) -> tuple[str, int, int]:
-        """Inverse of letter_code: (kind 'A' or 'B', index in 1..g, sign +-1)."""
-        mag = abs(code)
-        if not 1 <= mag <= self.rank:
-            raise ValueError(f"letter code {code} out of range for genus {self.genus}")
-        sign = 1 if code > 0 else -1
-        if mag <= self.genus:
-            return ("A", mag, sign)
-        return ("B", mag - self.genus, sign)
-
-    def _letter_token(self, code: int) -> str:
-        kind, index, sign = self.decode_letter(code)
-        name = kind if sign > 0 else kind.lower()
-        return f"{name}{index}"
-
     # -- word constructors ------------------------------------------------
 
     def identity(self) -> "Word":
@@ -140,7 +164,7 @@ class FreeGroup:
         """Build a word from signed letter codes; reduces."""
         codes = tuple(letters)
         for c in codes:
-            self.decode_letter(c)  # bounds check
+            self.alphabet.tokens[c]  # raises for 0 and out-of-range codes
         return Word(self, codes)
 
     def generator(self, kind: str, index: int) -> "Word":
@@ -153,15 +177,14 @@ class FreeGroup:
         return self.generator("B", index)
 
     def generators(self) -> tuple["Word", ...]:
-        """All 2g generators, A_1..A_g then B_1..B_g."""
-        return tuple(Word(self, (code,)) for code in range(1, self.rank + 1))
+        """All 2g generators, A_1..A_g then B_1..B_g; built once per genus."""
+        return self.alphabet.generators
 
     def word(self, text: str) -> "Word":
         """Parse word text.
 
-        Well-formed tokens are looked up in a per-genus table; any other
-        token sends the whole text through the token grammar, which names
-        the first bad token.
+        Each token is looked up in the per-genus code table, which
+        decodes a token on first sight; the first bad token raises.
 
         >>> FreeGroup(3).word("B3 a1").letters
         (6, -1)
@@ -178,36 +201,11 @@ class FreeGroup:
         ...
         ValueError: generator index 3 out of range 1..2
         """
-        if self.genus <= _TABLE_MAX_GENUS:
-            table = _token_table(self.genus)
-            try:
-                codes = tuple(filter(None, map(table.__getitem__, text.split())))
-            except KeyError:
-                pass
-            else:
-                return Word(self, codes)
-        return self._parse_tokens(text)
-
-    def _parse_tokens(self, text: str) -> "Word":
-        """Token by token through the grammar and letter_code; exact errors."""
-        codes: list[int] = []
-        for token in text.split():
-            if token == "1":
-                continue
-            m = _TOKEN_RE.match(token)
-            if m is None:
-                raise ValueError(f"malformed generator token {token!r}")
-            name, index = m.group(1), int(m.group(2))
-            sign = 1 if name.isupper() else -1
-            codes.append(self.letter_code(name.upper(), index, sign))
-        return Word(self, codes)
+        return Word(self, filter(None, map(self.alphabet.codes.__getitem__, text.split())))
 
     def zeta(self) -> "Word":
-        """The boundary word, a product of g commutators; 4g letters long."""
-        w = self.identity()
-        for k in range(1, self.genus + 1):
-            w = w * commutator(self.a(k), self.b(k))
-        return w
+        """The boundary word [A_1, B_1] ... [A_g, B_g], 4g letters; built once per genus."""
+        return self.alphabet.zeta
 
 
 class Word:
@@ -289,9 +287,7 @@ class Word:
         return hash((self.group, self.letters))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(self.group._letter_token(c) for c in self.letters)
+        return " ".join(map(self.group.alphabet.tokens.__getitem__, self.letters)) or "1"
 
     def __repr__(self) -> str:
         return f"<Word {self} in {self.group!r}>"

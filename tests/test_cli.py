@@ -1,9 +1,12 @@
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +16,16 @@ from mcgcocycles.cli import main
 from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv, expect=0):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mcgcocycles", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
@@ -156,20 +164,25 @@ def test_eval_exit_codes(tmp_path):
 
 def test_builtin_writes_loadable_file(tmp_path):
     path = tmp_path / "iota3.json"
-    run_cli("builtin", "iota", "--g", "3", "--out", str(path))
+    assert run_cli("builtin", "iota", "--g", "3", "--out", str(path)).stdout == ""
+    assert path.read_bytes() == run_cli("builtin", "iota", "--g", "3").stdout.encode()
     doc = json.loads(path.read_text())
     phi = from_mapping(doc)
     assert phi == jablow(FreeGroup(3))
     assert doc["images"]["B2"] == "B3 B2 A2 b2 a2 b2 b3"
 
 
-def test_builtin_to_stdout_and_errors():
+def test_builtin_to_stdout_and_errors(tmp_path):
     proc = run_cli("builtin", "twist:1:A", "--g", "2")
     doc = json.loads(proc.stdout)
     assert doc["images"]["A1"] == "A1 B1"
     assert doc["inverse_images"]["A1"] == "A1 b1"
     run_cli("builtin", "twist:9:A", "--g", "2", expect=2)
     run_cli("builtin", "inner:Q1", "--g", "2", expect=2)
+    unwritable = tmp_path / "missing" / "x.json"
+    proc = run_cli("builtin", "iota", "--g", "2", "--out", str(unwritable), expect=2)
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_builtin_eval_pipeline(tmp_path):
@@ -248,6 +261,31 @@ def test_eval_key_mismatch_error_is_bounded(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024
     assert "and 39992 more" in err
+
+
+def test_eval_key_check_cost_follows_the_document(tmp_path, capsys):
+    cases = (
+        ({}, "['A1', 'A2', 'A3', 'A4', 'A5', 'A6', 'A7', 'A8'] and 399992 more", "none"),
+        (
+            {"A1": "A1", "b2": "1", "A0": "1", "B200000": "1"},
+            "['A2', 'A3', 'A4', 'A5', 'A6', 'A7', 'A8', 'A9'] and 399990 more",
+            "['b2', 'A0']",
+        ),
+    )
+    for images, missing, unexpected in cases:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"genus": 200000, "images": images}))
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--in", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "error: images must have exactly the keys A1..A200000 B1..B200000; "
+            f"missing {missing}, unexpected {unexpected}\n"
+        )
+        assert peak < 1 << 20
 
 
 # the checks each suite runs at genus 2, in order; the benchmark's verify

@@ -70,6 +70,24 @@ def test_zeta_shape(g):
     assert str(z) == expected
 
 
+def test_zeta_and_generators_are_built_once_per_genus(monkeypatch):
+    for g in range(2, 13):
+        F = FreeGroup(g)
+        want = F.identity()
+        for k in range(1, g + 1):
+            want = want * commutator(F.a(k), F.b(k))
+        assert F.zeta() == want
+        assert F.generators() == tuple(F.from_letters((c,)) for c in range(1, 2 * g + 1))
+    built = []
+    monkeypatch.setattr(Word, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(Word, "_from_reduced", classmethod(lambda *args: built.append(args)))
+    for g in range(2, 13):
+        F = FreeGroup(g)
+        assert F.zeta() is FreeGroup(g).zeta()
+        assert F.generators() is FreeGroup(g).generators()
+    assert not built
+
+
 def test_zeta_g3_literal():
     assert str(FreeGroup(3).zeta()) == "A1 B1 a1 b1 A2 B2 a2 b2 A3 B3 a3 b3"
 

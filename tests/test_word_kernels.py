@@ -10,6 +10,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import word_oracle
 from mcgcocycles import (
@@ -163,11 +164,63 @@ def test_stray_ones_and_mixed_whitespace_parse_like_the_oracle():
         assert F.word(text).letters == word_oracle.parse(F, text)
 
 
+def _text(g: int):
+    """Word text from valid tokens, stray 1s and malformed tokens, with mixed whitespace."""
+    valid = st.builds("{}{}".format, st.sampled_from("ABab"), st.integers(1, g))
+    malformed = st.one_of(
+        st.sampled_from(("A0", "A01", "C1", "a", "b07", "AA1", "A1B1", "+A1", "A-1", "11")),
+        st.builds("{}{}".format, st.sampled_from("ABab"), st.integers(g + 1, 3 * g)),
+    )
+    # valid tokens three times as often as each other kind, so many texts parse
+    token = st.one_of(valid, valid, valid, st.just("1"), malformed)
+    pieces = st.lists(st.tuples(token, st.sampled_from(SEPARATORS)), max_size=30)
+    return st.builds(lambda lead, ps: lead + "".join(t + sep for t, sep in ps),
+                     st.sampled_from(("",) + SEPARATORS), pieces)
+
+
+def _assert_tables_hold_only_valid_keys(F):
+    for token, code in F.alphabet.codes.items():
+        assert word_oracle.parse(F, token) == ((code,) if code else ())
+    for code, token in F.alphabet.tokens.items():
+        assert word_oracle.parse(F, token) == (code,)
+
+
+@pytest.mark.parametrize("g", (2, 12, 257))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_single_parse_path_matches_oracle(g, data):
+    F = FreeGroup(g)
+    text = data.draw(_text(g))
+    try:
+        want = word_oracle.parse(F, text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            F.word(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert F.word(text).letters == want
+    _assert_tables_hold_only_valid_keys(F)
+
+
+@pytest.mark.parametrize("g", (2, 12, 257))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_text_round_trip_and_letter_range(g, data):
+    F = FreeGroup(g)
+    letter = st.integers(1, 2 * g) | st.integers(-2 * g, -1)
+    w = F.from_letters(data.draw(st.lists(letter, max_size=60)))
+    assert F.word(str(w)) == w
+    bad = data.draw(st.sampled_from((0, 2 * g + 1, -2 * g - 1, 10 * g)))
+    with pytest.raises(ValueError, match=rf"^letter code {bad} out of range for genus {g}$"):
+        F.from_letters((1, bad))
+    _assert_tables_hold_only_valid_keys(F)
+
+
 def test_parser_above_the_table_genus_and_bounded_cache():
-    F = FreeGroup(freegroup._TABLE_MAX_GENUS + 1)
+    F = FreeGroup(257)
     text = f"A{F.genus} b1 B1 a{F.genus} B{F.genus}"
     assert F.word(text).letters == word_oracle.parse(F, text) == (2 * F.genus,)
-    maxsize = freegroup._token_table.cache_info().maxsize
+    maxsize = freegroup._alphabet.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
 
 
