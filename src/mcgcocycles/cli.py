@@ -186,11 +186,11 @@ def cmd_eval(args) -> int:
         if sel == "rho":
             results["rho"] = _matrix_payload(witness.rho)
         elif sel == "morita-f-tilde":
-            results["morita_f_tilde"] = list(f_tilde(witness))
+            results["morita_f_tilde"] = list(f_tilde(phi))
         elif sel == "morita-f":
-            results["morita_f"] = list(morita_f(witness))
+            results["morita_f"] = list(morita_f(phi))
         elif sel == "earle-psi":
-            results["earle_psi"] = _psi_payload(earle_psi(witness), genus)
+            results["earle_psi"] = _psi_payload(earle_psi(phi), genus)
 
     if args.format == "structured":
         doc = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .homology import mat_vec
-from .endomorphism import MemberLike, require_membership
+from .endomorphism import Endo, require_membership
 from .morita import morita_f
 
 QVector = tuple[Fraction, ...]
@@ -31,31 +31,26 @@ def a0(genus: int) -> QVector:
     return (Fraction(0),) * genus + (q,) * genus
 
 
-def coboundary_a0(phi: MemberLike) -> QVector:
+def coboundary_a0(phi: Endo) -> QVector:
     """The twisted coboundary rho(phi)^-1 a0 - a0.
 
     (g - 1) a0 is the integer vector (0, ..., 0, 1, ..., 1), so rho^-1 is
     applied to that in integers and each entry is divided by g - 1 once.
     """
-    member = require_membership(phi)
-    genus = member.element.group.genus
+    genus = phi.group.genus
     ones = (0,) * genus + (1,) * genus
-    moved = mat_vec(member.rho_inv, ones)
+    moved = mat_vec(require_membership(phi).rho_inv, ones)
     return tuple(Fraction(m - e, genus - 1) for m, e in zip(moved, ones))
 
 
-def earle_psi(phi: MemberLike) -> QVector:
+def earle_psi(phi: Endo) -> QVector:
     """Earle's cocycle as an exact rational vector.
 
     Restricts to x -> [x] on conjugations and satisfies the twisted
     cocycle identity psi(phi psi') = rho(psi')^-1 psi(phi) + psi(psi').
     """
-    nw = require_membership(phi)
-    genus = nw.element.group.genus
-    f_value = morita_f(nw)
-    shift = coboundary_a0(nw)
-    scale = Fraction(-1, 2 * genus - 2)
-    return tuple(scale * f_value[k] + shift[k] for k in range(2 * genus))
+    scale = Fraction(-1, 2 * phi.group.genus - 2)
+    return tuple(scale * f + shift for f, shift in zip(morita_f(phi), coboundary_a0(phi)))
 
 
 def over_canonical_denominator(vec: QVector, genus: int) -> tuple[tuple[int, ...], int]:

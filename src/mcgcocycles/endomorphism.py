@@ -6,8 +6,9 @@ once-punctured genus-g surface is the group of automorphisms fixing the
 boundary word zeta exactly; allowing zeta to move within its conjugacy
 class gives the larger group N whose quotient by inner automorphisms is
 the mapping class group of the surface with a marked point.  The cocycle
-modules consume elements of N together with a conjugating witness, so
-membership testing and witness extraction live here.
+modules read the membership record of an element of N (a conjugating
+witness, rho and f_tilde), so membership testing and the record live
+here.
 
 Composition convention: a product of mapping classes acts with the right
 factor first, and ``compose(outer, inner)`` realizes exactly that, i.e.
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
 from operator import ne, neg
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
 from .homology import (
@@ -52,8 +53,8 @@ class Endo:
 
     ``images`` lists the images of A_1..A_g, B_1..B_g in that order.
     Instances are immutable in spirit; the only mutations are internal
-    caches of the zeta-conjugacy test and of the substitution table,
-    which are derived data.
+    caches of the membership record (see ``in_N``) and of the
+    substitution table, which are derived data.
     """
 
     __slots__ = ("group", "images", "_member", "_table")
@@ -69,7 +70,7 @@ class Endo:
                 raise ValueError("generator images must be words of the same genus")
         self.group = group
         self.images = imgs
-        self._member: object = None  # None unknown, False no, NWitness yes
+        self._member: object = None  # None unknown, False no, else the NWitness
         self._table: Optional[list] = None  # built by the first call
 
     def _substitution_table(self) -> list:
@@ -250,43 +251,23 @@ def jablow(group: FreeGroup) -> Auto:
 
 @dataclass(frozen=True)
 class NWitness:
-    """An endomorphism together with u satisfying phi(zeta) = u zeta u^-1.
+    """The membership record of phi in N: the values its cocycles share.
 
-    Construction re-checks the defining equation, so holding an NWitness
-    is proof of membership in N.  The per-element quantities the cocycles
-    share (rho, rho^-1 and f_tilde) are computed on first use and kept,
-    and the witness is cached on its Endo, so each is computed once per
-    element however many cocycles are asked for.
+    ``conjugator`` is a u with phi(zeta) = u zeta u^-1; ``rho`` and
+    ``f_tilde`` (see morita.f_tilde) come from one walk per generator
+    image; ``rho_inv`` is computed on first use.  The constructor checks
+    nothing: ``in_N`` checks u, builds the record and caches it on phi.
+    It holds no reference back to phi, so the two form no cycle.
     """
 
-    element: Endo
     conjugator: Word
-    # phi(zeta) when the caller has computed it already; an init-only
-    # argument, neither stored nor compared, and checked like a fresh image
-    _zeta_image: InitVar[Optional[Word]] = None
-
-    def __post_init__(self, _zeta_image: Optional[Word]):
-        zeta = self.element.group.zeta()
-        image = self.element(zeta) if _zeta_image is None else _zeta_image
-        if image != zeta.conjugated_by(self.conjugator):
-            raise ValueError("witness does not conjugate zeta to its image")
-
-    @cached_property
-    def rho(self) -> Matrix:
-        """The homology action rho(phi)."""
-        return induced_matrix(self.element)
+    rho: Matrix
+    f_tilde: Vector
 
     @cached_property
     def rho_inv(self) -> Matrix:
         """rho(phi)^-1, by the checked symplectic closed form."""
         return symplectic_inverse(self.rho)
-
-    @cached_property
-    def f_tilde(self) -> Vector:
-        """Poincare dual of x -> d(phi(x)) - d(x); see morita.f_tilde."""
-        from .morita import d  # morita imports this module
-
-        return dual(tuple(d(im) for im in self.element.images))
 
 
 def in_M_g1(phi: Endo) -> bool:
@@ -298,24 +279,32 @@ def in_M_g1(phi: Endo) -> bool:
 def in_N(phi: Endo) -> Optional[NWitness]:
     """Membership test for N: does phi send zeta into its conjugacy class?
 
-    Returns a witness on success, None otherwise.  The result is cached
-    on the endomorphism.
+    Returns the element's record on success, None otherwise.  The result
+    is cached on the endomorphism, and phi is applied to zeta once.  The
+    witness u found for phi(zeta) is checked against u zeta u^-1 before
+    the record is built.
+
+    >>> member = in_N(jablow(FreeGroup(3)))
+    >>> str(member.conjugator), member.f_tilde
+    ('B3 B2 B1', (-2, -2, -2, -8, -6, -4))
     """
     if phi._member is None:
+        from .morita import d_and_class  # morita imports this module
         zeta = phi.group.zeta()
         image = phi(zeta)
         u = conjugator(image, zeta)
-        phi._member = NWitness(phi, u, image) if u is not None else False
+        if u is None:
+            phi._member = False
+            return None
+        if image != zeta.conjugated_by(u):
+            raise ValueError("witness does not conjugate zeta to its image")
+        turning, columns = zip(*map(d_and_class, phi.images))
+        phi._member = NWitness(u, tuple(zip(*columns)), dual(turning))
     return phi._member or None
 
 
-MemberLike = Union[Endo, NWitness]
-
-
-def require_membership(phi: MemberLike) -> NWitness:
-    """Coerce to a witness, raising MembershipError for non-members."""
-    if isinstance(phi, NWitness):
-        return phi
+def require_membership(phi: Endo) -> NWitness:
+    """The record of phi, raising MembershipError for non-members."""
     witness = in_N(phi)
     if witness is None:
         core, _ = phi(phi.group.zeta()).cyclic_reduce()

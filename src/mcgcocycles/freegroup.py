@@ -140,6 +140,9 @@ class FreeGroup:
     def __repr__(self) -> str:
         return f"FreeGroup({self.genus})"
 
+    def __reduce__(self):  # by genus: the alphabet is a per-process cache
+        return FreeGroup, (self.genus,)
+
     # -- letter encoding -------------------------------------------------
 
     def letter_code(self, kind: str, index: int, sign: int = 1) -> int:
@@ -227,6 +230,9 @@ class Word:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):  # else pickle and copy set slots through __setattr__
+        return Word, (self.group, self.letters)
 
     def _require_same_group(self, other: "Word") -> None:
         if self.group != other.group:

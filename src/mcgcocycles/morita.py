@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from .freegroup import Word
 from .homology import Vector, abelianize, mat_vec
-from .endomorphism import MemberLike, NWitness, require_membership
+from .endomorphism import Endo, require_membership
 
 ALPHA = 1
 BETA = 2
@@ -119,16 +119,23 @@ def d(w: Word) -> int:
 
     Satisfies d(x y) = d(x) + d(y) + [x].[y] on the full surface group,
     and d of every generator is 0; the result equals
-    ``sum(d_two_gen(project(w, i)) for i in 1..g)``.
+    ``sum(d_two_gen(project(w, i)) for i in 1..g)``; see ``d_and_class``.
+    """
+    return d_and_class(w)[0]
 
-    Those two facts make d(w) the sum of [x_p].[x_q] over the letter
-    pairs p < q of w, and cancelling neighbours add nothing to that sum,
-    so the handle projections need no reduction.  On one handle each
+
+def d_and_class(w: Word) -> tuple[int, Vector]:
+    """d(w) and the exponent-sum class [w], from one walk over the letters.
+
+    The two facts in ``d`` make d(w) the sum of [x_p].[x_q] over the
+    letter pairs p < q of w, and cancelling neighbours add nothing to that
+    sum, so the handle projections need no reduction.  On one handle each
     beta^delta adds delta * (alpha sum before it - alpha sum after it);
     with s the sum of delta * (alpha sum before it) over the betas and
     a, b the handle's exponent sums, the handle's share is 2 s - a b.
     On a reduced projection this is the syllable formula with each
-    syllable split into its alpha and its beta.
+    syllable split into its alpha and its beta.  The walk ends with the
+    handles' exponent sums, which are [w] (``homology.abelianize``).
     """
     g = w.group.genus
     alpha = [0] * (g + 1)
@@ -145,44 +152,46 @@ def d(w: Word) -> int:
         else:
             s -= alpha[-c - g]
             beta[-c - g] -= 1
-    return 2 * s - sum(a * b for a, b in zip(alpha, beta))
+    return 2 * s - sum(a * b for a, b in zip(alpha, beta)), tuple(alpha[1:] + beta[1:])
 
 
-def f_tilde_at(phi: MemberLike, x: Word) -> int:
+def f_tilde_at(phi: Endo, x: Word) -> int:
     """The coboundary-of-d functional d(phi(x)) - d(x).
 
     Linear in the homology class of x; equals the pairing of
     ``f_tilde(phi)`` with [x].
     """
-    witness = require_membership(phi)
-    endo = witness.element
-    return d(endo(x)) - d(x)
+    require_membership(phi)
+    return d(phi(x)) - d(x)
 
 
-def f_tilde(phi: MemberLike) -> Vector:
+def f_tilde(phi: Endo) -> Vector:
     """Poincare dual of x -> d(phi(x)) - d(x) as a homology class.
 
     Evaluating the functional on the 2g generators determines it, d of a
-    single generator being 0.  The value is computed once per witness
-    (``NWitness.f_tilde``).
+    single generator being 0.  The value is computed once per element,
+    by ``in_N`` (``NWitness.f_tilde``).
     """
     return require_membership(phi).f_tilde
 
 
-def morita_f(phi: MemberLike, witness: Word | None = None) -> Vector:
+def morita_f(phi: Endo, witness: Word | None = None) -> Vector:
     """The homology-valued twisted cocycle on the marked-point group.
 
     With u the zeta-conjugating witness of phi,
 
         f(phi) = f_tilde(phi) - 2g rho(phi)^-1 [u].
 
-    Passing an explicit witness word overrides the computed one; the
-    value does not change, which the test suite checks.
+    An explicit witness word, checked like the computed one (ValueError),
+    overrides it; the value does not change, which the tests check.
     """
     member = require_membership(phi)
     u = member.conjugator
     if witness is not None:
-        u = NWitness(member.element, witness).conjugator
-    g = member.element.group.genus
+        zeta = phi.group.zeta()
+        if phi(zeta) != zeta.conjugated_by(witness):
+            raise ValueError("witness does not conjugate zeta to its image")
+        u = witness
+    g = phi.group.genus
     correction = mat_vec(member.rho_inv, abelianize(u))
     return tuple(b - 2 * g * c for b, c in zip(member.f_tilde, correction))

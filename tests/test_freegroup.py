@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -168,3 +170,16 @@ def test_cyclic_reduce_contract_randomized():
     draw = sampler(x=40)
     samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(400))
     assert not failures(run_checks({"cyclic": verify.cyclic_reduction_contract}, samples))
+
+
+def test_pickle_and_copy_round_trip():
+    F = FreeGroup(3)
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and hash(G) == hash(F) and G.alphabet is F.alphabet
+    for w in (F.zeta(), F.identity(), F.word("A1 b2 B3 a1"), *F.generators()):
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert type(twin) is Word and twin == w and hash(twin) == hash(w)
+            assert str(twin) == str(w) and twin.group.alphabet is F.alphabet
+    # a word that refers to the group of another word keeps that group on a round trip
+    pair = pickle.loads(pickle.dumps((F.a(1), F.b(2))))
+    assert pair == (F.a(1), F.b(2)) and pair[0] * pair[1] == F.word("A1 B2")

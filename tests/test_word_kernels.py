@@ -1,23 +1,21 @@
 """The word-layer kernels against their slow references.
 
 Parsing and substitution are compared with ``word_oracle``, the
-membership witness with one built through the public constructor (which
-applies phi to zeta again), and ``d`` with the per-handle syllable
-formula ``d_two_gen(project(...))``.
+membership witness with the defining equation phi(zeta) = u zeta u^-1,
+and ``d`` with the per-handle syllable formula
+``d_two_gen(project(...))``.
 """
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import word_oracle
+from sample_elements import twist_chain
 from mcgcocycles import (
     Endo,
     FreeGroup,
-    NWitness,
-    compose,
     d,
     d_two_gen,
     in_N,
@@ -28,7 +26,7 @@ from mcgcocycles import (
     random_word,
     twist_catalog,
 )
-from mcgcocycles import freegroup
+from mcgcocycles import endomorphism, freegroup
 
 SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", " \t ")
 
@@ -54,21 +52,6 @@ def _random_text(group, rng) -> str:
     for tok in tokens:
         text += tok + rng.choice(SEPARATORS)
     return text
-
-
-def _twist_chain(group, handle: int, min_letters: int):
-    """jablow, then alternating A and B twists of one handle until an image is long.
-
-    The twisted handle's images grow like Fibonacci numbers.
-    """
-    catalog = twist_catalog(group)
-    twists = (catalog[handle - 1], catalog[group.genus + handle - 1])
-    phi = jablow(group)
-    k = 0
-    while max(len(im) for im in phi.images) < min_letters:
-        phi = compose(phi, twists[k % 2])
-        k += 1
-    return phi
 
 
 @pytest.mark.parametrize("g", (2, 5, 12))
@@ -100,7 +83,7 @@ def test_apply_matches_oracle_on_random_words(g):
 @pytest.mark.parametrize("g,handle", [(3, 1), (4, 4)])
 def test_parse_and_apply_match_oracle_on_long_images(g, handle):
     F = FreeGroup(g)
-    phi = _twist_chain(F, handle, 20_000)
+    phi = twist_chain(F, handle, 20_000)
     longest = max(phi.images, key=len)
     assert len(longest) >= 20_000
     for im in phi.images:
@@ -119,7 +102,7 @@ def test_apply_matches_oracle_on_inverse_images():
     for g in (2, 3, 5):
         F = FreeGroup(g)
         elements = [random_element(F, 6, seed=rng.randrange(1 << 30)) for _ in range(4)]
-        elements.append(_twist_chain(F, 1, 600))
+        elements.append(twist_chain(F, 1, 600))
         for phi in elements:
             inv = phi.inverse()
             for w in [random_word(F, rng.randint(0, 40), rng) for _ in range(10)] + list(phi.images):
@@ -232,7 +215,7 @@ class _CountingEndo(Endo):
         return super().__call__(w)
 
 
-def test_in_N_applies_phi_to_zeta_once_and_keeps_the_check():
+def test_in_N_applies_phi_to_zeta_once_and_keeps_the_check(monkeypatch):
     for g in (2, 3, 5):
         F = FreeGroup(g)
         for seed in range(5):
@@ -240,23 +223,25 @@ def test_in_N_applies_phi_to_zeta_once_and_keeps_the_check():
             phi.calls = 0
             witness = in_N(phi)
             assert phi.calls == 1
-            # the public constructor applies phi to zeta again and re-checks
-            recheck = NWitness(phi, witness.conjugator)
-            assert phi.calls == 2
-            assert witness == recheck and repr(witness) == repr(recheck)
-            # a handed image is checked like a computed one
-            with pytest.raises(ValueError):
-                NWitness(phi, witness.conjugator, phi(F.zeta()) * F.a(1))
-    assert [f.name for f in dataclasses.fields(NWitness)] == ["element", "conjugator"]
+            # the cached record comes back without applying phi again
+            assert in_N(phi) is witness and phi.calls == 1
+            assert phi(F.zeta()) == F.zeta().conjugated_by(witness.conjugator)
     F = FreeGroup(2)
     outsider = _CountingEndo(F, (F.a(1), F.a(2), F.b(1), F.identity()))
     outsider.calls = 0
     assert in_N(outsider) is None and outsider.calls == 1
+    # a wrong word from the conjugacy search is caught, and nothing is cached
+    search = endomorphism.conjugator
+    monkeypatch.setattr(endomorphism, "conjugator", lambda w, v: search(w, v) * w.group.a(1))
+    for phi in (Endo(F, jablow(F).images), Endo(F, random_element(F, 5, seed=1).images)):
+        with pytest.raises(ValueError, match="witness does not conjugate zeta"):
+            in_N(phi)
+        assert phi._member is None
 
 
 @pytest.mark.parametrize("g,handle", [(3, 2), (5, 5)])
 def test_d_matches_per_handle_syllables_on_long_images(g, handle):
     F = FreeGroup(g)
-    phi = _twist_chain(F, handle, 20_000)
+    phi = twist_chain(F, handle, 20_000)
     for w in (*phi.images, phi(F.zeta())):
         assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
