@@ -48,9 +48,15 @@ def earle_psi(phi: Endo) -> QVector:
 
     Restricts to x -> [x] on conjugations and satisfies the twisted
     cocycle identity psi(phi psi') = rho(psi')^-1 psi(phi) + psi(psi').
+    With e = (g - 1) a0 = (0, ..., 0, 1, ..., 1), entry i is the one
+    fraction (2 (rho^-1 e - e)_i - f_i) / (2g - 2); ``coboundary_a0``
+    is the same shift term computed on its own.
     """
-    scale = Fraction(-1, 2 * phi.group.genus - 2)
-    return tuple(scale * f + shift for f, shift in zip(morita_f(phi), coboundary_a0(phi)))
+    genus = phi.group.genus
+    ones = (0,) * genus + (1,) * genus
+    moved = mat_vec(require_membership(phi).rho_inv, ones)
+    return tuple(Fraction(2 * (m - e) - f, 2 * genus - 2)
+                 for m, e, f in zip(moved, ones, morita_f(phi)))
 
 
 def over_canonical_denominator(vec: QVector, genus: int) -> tuple[tuple[int, ...], int]:

@@ -29,10 +29,12 @@ from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
 from .homology import (
     Matrix,
     Vector,
+    abelianize,
     dual,
     identity_matrix,
     induced_matrix,
     is_symplectic,
+    mat_vec,
     symplectic_inverse,
 )
 
@@ -91,16 +93,20 @@ class Endo:
         The output so far and each image are reduced, so letters can only
         cancel at the seam between them: the longest tail of the output
         that reads the inverse image backwards is dropped, and the rest of
-        the image appended, each at once.
+        the image appended, each at once.  A single generator is looked up
+        without the table.
         """
-        if w.group != self.group:
+        if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
+        letters = w.letters
+        if len(letters) == 1 and letters[0] > 0:
+            return self.images[letters[0] - 1]
         table = self._table
         if table is None:
             table = self._table = self._substitution_table()
         out: list[int] = []
         extend = out.extend
-        for c in w.letters:
+        for c in letters:
             img = table[c]
             if out and img and out[-1] == -img[0]:
                 # first position where out, read backwards, stops matching
@@ -128,14 +134,60 @@ class Endo:
         return f"<{kind} genus {self.group.genus}>"
 
 
+class _Deferred:
+    """An inverse not built yet: its recipe until the first read, then the Endo.
+
+    The recipe is a word x, for the inverse g -> x^-1 g x of conjugation
+    by x, or a pair (first, then) of inverses, each an Endo or a
+    _Deferred, for the inverse of a composite: generator k goes to
+    first(then.images[k]).  A recipe names inverses only, never the
+    elements they invert, so it keeps no forward image alive, and it
+    refers only to objects built before it, so it forms no cycle.
+    """
+
+    __slots__ = ("group", "recipe", "value")
+
+    def __init__(self, group: FreeGroup, recipe: object):
+        self.group, self.recipe, self.value = group, recipe, None
+
+    def build(self) -> Endo:
+        """The inverse, building each pending recipe under it once.
+
+        The recipes are walked with a stack, so a long chain of composites
+        does not recurse; a built recipe is dropped.
+        """
+        stack = [self]
+        while stack:
+            top = stack[-1]
+            recipe = top.recipe
+            if recipe is None:  # built through another composite
+                stack.pop()
+                continue
+            if isinstance(recipe, Word):
+                xi = recipe.inverse()
+                images = tuple(xi * gen * recipe for gen in top.group.generators())
+            else:
+                pending = [p for p in recipe if isinstance(p, _Deferred) and p.recipe is not None]
+                if pending:
+                    stack += pending
+                    continue
+                first, then = (p.value if isinstance(p, _Deferred) else p for p in recipe)
+                images = tuple(first(im) for im in then.images)
+            top.value, top.recipe = Endo(top.group, images), None
+            stack.pop()
+        return self.value
+
+
 class Auto(Endo):
     """An endomorphism certified invertible by an explicit inverse.
 
     Construction composes both ways and requires every generator to come
     back to itself, so a constructed Auto is a genuine automorphism.
+    ``backward``, the inverse as an Endo, is built on its first read for
+    composites and conjugations (see ``_trusted``) and then kept.
     """
 
-    __slots__ = ("backward",)
+    __slots__ = ("_backward",)
 
     def __init__(
         self,
@@ -150,58 +202,66 @@ class Auto(Endo):
                 raise ValueError(
                     f"images and inverse images are not mutually inverse at {gen}"
                 )
-        self.backward = backward
+        self._backward = backward
 
     @classmethod
     def _trusted(
         cls,
         group: FreeGroup,
         images: tuple[Word, ...],
-        inverse_images: tuple[Word, ...],
+        backward: "Endo | _Deferred",
     ) -> "Auto":
         """Skip the inverse check; caller has a proof.
 
         Used for algebraically guaranteed constructions (conjugations,
         composites of certified automorphisms) where re-verification only
-        repeats associativity.
+        repeats associativity.  ``backward`` is the inverse, or a
+        _Deferred recipe for it that the first read of ``backward`` builds.
         """
         obj = object.__new__(cls)
         Endo.__init__(obj, group, images)
-        obj.backward = Endo(group, inverse_images)
+        obj._backward = backward
         return obj
 
+    @property
+    def backward(self) -> Endo:
+        """The inverse automorphism, as an Endo."""
+        back = self._backward
+        if isinstance(back, _Deferred):
+            back = self._backward = back.build()
+        return back
+
     def inverse(self) -> "Auto":
-        return Auto._trusted(self.group, self.backward.images, self.images)
+        return Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
     """The endomorphism x -> outer(inner(x)).
 
-    Returns an Auto when both factors are certified, with the inverse
-    composed in the opposite order.
+    Returns an Auto when both factors are certified.  Its inverse,
+    inner^-1 applied to the images of outer^-1, is built when its
+    ``backward`` is first read.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
     group = outer.group
     images = tuple(outer(im) for im in inner.images)
     if isinstance(outer, Auto) and isinstance(inner, Auto):
-        inv = tuple(inner.backward(im) for im in outer.backward.images)
-        return Auto._trusted(group, images, inv)
+        return Auto._trusted(group, images, _Deferred(group, (inner._backward, outer._backward)))
     return Endo(group, images)
 
 
 def identity_auto(group: FreeGroup) -> Auto:
     gens = group.generators()
-    return Auto._trusted(group, gens, gens)
+    return Auto._trusted(group, gens, Endo(group, gens))
 
 
 def inner(x: Word) -> Auto:
-    """Conjugation g -> x g x^-1."""
+    """Conjugation g -> x g x^-1; its inverse is built when first read."""
     group = x.group
     xi = x.inverse()
     images = tuple(x * gen * xi for gen in group.generators())
-    inv = tuple(xi * gen * x for gen in group.generators())
-    return Auto._trusted(group, images, inv)
+    return Auto._trusted(group, images, _Deferred(group, x))
 
 
 def _descending_b(group: FreeGroup, k: int) -> Word:
@@ -255,9 +315,10 @@ class NWitness:
 
     ``conjugator`` is a u with phi(zeta) = u zeta u^-1; ``rho`` and
     ``f_tilde`` (see morita.f_tilde) come from one walk per generator
-    image; ``rho_inv`` is computed on first use.  The constructor checks
-    nothing: ``in_N`` checks u, builds the record and caches it on phi.
-    It holds no reference back to phi, so the two form no cycle.
+    image; ``rho_inv`` and ``f`` are computed on first use.  The
+    constructor checks nothing: ``in_N`` checks u, builds the record and
+    caches it on phi.  It holds no reference back to phi, so the two form
+    no cycle.
     """
 
     conjugator: Word
@@ -268,6 +329,17 @@ class NWitness:
     def rho_inv(self) -> Matrix:
         """rho(phi)^-1, by the checked symplectic closed form."""
         return symplectic_inverse(self.rho)
+
+    @cached_property
+    def f(self) -> Vector:
+        """Morita's cocycle f(phi), with the witness ``conjugator``."""
+        return self.f_at(self.conjugator)
+
+    def f_at(self, u: Word) -> Vector:
+        """f_tilde - 2g rho^-1 [u] for a witness u of phi (morita.morita_f)."""
+        correction = mat_vec(self.rho_inv, abelianize(u))
+        rank = len(self.rho)
+        return tuple(b - rank * c for b, c in zip(self.f_tilde, correction))
 
 
 def in_M_g1(phi: Endo) -> bool:

@@ -44,7 +44,7 @@ All values are integer vectors in the basis A_1..A_g, B_1..B_g.
 from __future__ import annotations
 
 from .freegroup import Word
-from .homology import Vector, abelianize, mat_vec
+from .homology import Vector
 from .endomorphism import Endo, require_membership
 
 ALPHA = 1
@@ -182,16 +182,15 @@ def morita_f(phi: Endo, witness: Word | None = None) -> Vector:
 
         f(phi) = f_tilde(phi) - 2g rho(phi)^-1 [u].
 
-    An explicit witness word, checked like the computed one (ValueError),
-    overrides it; the value does not change, which the tests check.
+    The value is computed once per element (``NWitness.f``).  An explicit
+    witness word, checked like the computed one (ValueError), overrides
+    it and is computed afresh; the value does not change, which the tests
+    check.
     """
     member = require_membership(phi)
-    u = member.conjugator
-    if witness is not None:
-        zeta = phi.group.zeta()
-        if phi(zeta) != zeta.conjugated_by(witness):
-            raise ValueError("witness does not conjugate zeta to its image")
-        u = witness
-    g = phi.group.genus
-    correction = mat_vec(member.rho_inv, abelianize(u))
-    return tuple(b - 2 * g * c for b, c in zip(member.f_tilde, correction))
+    if witness is None:
+        return member.f
+    zeta = phi.group.zeta()
+    if phi(zeta) != zeta.conjugated_by(witness):
+        raise ValueError("witness does not conjugate zeta to its image")
+    return member.f_at(witness)

@@ -12,11 +12,13 @@ from mcgcocycles import (
     induced_matrix,
     inner,
     jablow,
+    morita_f,
     over_canonical_denominator,
     random_element,
     twist_catalog,
 )
 from mcgcocycles.endomorphism import Endo
+from sample_elements import handle_mixing, twist_chain
 from mcgcocycles import verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 
@@ -46,6 +48,19 @@ def test_coboundary_matches_the_per_entry_fraction_formula():
             rho_inv = induced_matrix(phi.backward)
             moved = tuple(sum(row[j] * base[j] for j in range(2 * g)) for row in rho_inv)
             assert coboundary_a0(phi) == tuple(moved[k] - base[k] for k in range(2 * g))
+
+
+def test_psi_is_the_f_term_plus_the_coboundary():
+    """The one-fraction-per-entry psi against -f/(2g-2) + coboundary_a0."""
+    rng = random.Random(2468)
+    elements = [*handle_mixing(), twist_chain(FreeGroup(3), 2, 2_000)]
+    for g in range(2, 7):
+        F = FreeGroup(g)
+        elements += [random_element(F, 5, seed=rng.randrange(1 << 30)) for _ in range(10)]
+    for phi in elements:
+        scale = Fraction(-1, 2 * phi.group.genus - 2)
+        want = tuple(scale * f + c for f, c in zip(morita_f(phi), coboundary_a0(phi)))
+        assert earle_psi(phi) == want
 
 
 def test_coboundary_vanishes_on_homologically_trivial_elements():

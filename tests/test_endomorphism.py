@@ -7,6 +7,7 @@ from mcgcocycles import (
     Auto,
     Endo,
     FreeGroup,
+    Word,
     compose,
     from_mapping,
     identity_auto,
@@ -66,6 +67,65 @@ def test_auto_inverse_round_trip():
     ti = t.inverse()
     assert compose(t, ti) == identity_auto(F)
     assert compose(ti, t) == identity_auto(F)
+
+
+def _checked(phi):
+    """The inverse images of phi, accepted by the checking Auto constructor."""
+    Auto(phi.group, phi.images, phi.backward.images)
+    return phi.backward.images
+
+
+def test_deferred_inverses_match_the_eager_formulas():
+    """Composites, conjugations, composites of composites and inverses.
+
+    Each forced inverse equals the formula that used to be applied at
+    construction, and the checked constructor accepts it.
+    """
+    rng = random.Random(3141)
+    for g in (2, 3, 4, 5):
+        F = FreeGroup(g)
+        gens = F.generators()
+        pool = [random_element(F, 4, seed=rng.randrange(1 << 30)) for _ in range(5)]
+        for p1, p2 in zip(pool, pool[1:]):
+            x = random_word(F, rng.randint(0, 8), rng)
+            xi = x.inverse()
+            conj = inner(x)
+            assert _checked(conj) == tuple(xi * gen * x for gen in gens)
+            # the outer composite is read first, so its factors are built under it
+            left, right = compose(conj, p1), compose(p2, inner(xi))
+            nested = compose(left, right)
+            assert _checked(nested) == tuple(right.backward(im) for im in left.backward.images)
+            assert _checked(left) == tuple(p1.backward(im) for im in conj.backward.images)
+            comp = compose(p1, p2)
+            assert _checked(comp) == tuple(p2.backward(im) for im in p1.backward.images)
+            inv = nested.inverse()
+            assert inv.images == nested.backward.images
+            assert _checked(inv) == nested.images
+
+
+def test_compose_and_inner_defer_their_inverses(monkeypatch):
+    F = FreeGroup(3)
+    p1, p2 = random_element(F, 4, seed=5), random_element(F, 4, seed=6)
+    p1.backward  # both inverses are built before the spies start
+    p2_back = p2.backward
+    calls, products = [], []
+    call, mul = Endo.__call__, Word.__mul__
+    monkeypatch.setattr(Endo, "__call__", lambda phi, w: calls.append(phi) or call(phi, w))
+    monkeypatch.setattr(Word, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+
+    comp = compose(p1, p2)
+    assert calls == [p1] * F.rank  # the images only
+    back = comp.backward
+    assert calls[F.rank:] == [p2_back] * F.rank
+    assert comp.backward is back and len(calls) == 2 * F.rank
+
+    calls.clear()
+    conj = inner(F.word("A1 b3"))
+    assert len(products) == 2 * F.rank  # x gen x^-1, for each generator
+    back = conj.backward
+    assert len(products) == 4 * F.rank
+    assert conj.backward is back and len(products) == 4 * F.rank
+    assert calls == []
 
 
 def test_inner_automorphism():
@@ -180,6 +240,16 @@ def test_mapping_round_trip(tmp_path):
     path = tmp_path / "phi.json"
     save_automorphism(phi, str(path))
     assert load_automorphism(str(path)) == phi
+
+
+def test_mapping_of_a_composite_writes_the_composed_inverse():
+    F = FreeGroup(3)
+    p1, p2 = random_element(F, 4, seed=21), random_element(F, 4, seed=22)
+    keys = F.alphabet.tokens
+    want = {keys[k]: str(p2.backward(im)) for k, im in enumerate(p1.backward.images, 1)}
+    doc = to_mapping(compose(p1, p2))
+    assert doc["inverse_images"] == want
+    assert from_mapping(doc) == compose(p1, p2)
 
 
 def test_mapping_without_inverse_downgrades_to_endo(tmp_path):

@@ -152,6 +152,86 @@ def test_is_symplectic_matches_the_matrix_definition():
                 assert is_symplectic(cand) == want
 
 
+def _symplectic_product(g, steps, sizes, rng):
+    """A product of elementary symplectic matrices that mix the handles.
+
+    Each step is [[I, S], [0, I]] or [[I, 0], [S, I]] with S symmetric, or
+    [[A, 0], [0, A^-T]] with A = I + k e_ij, for a random k with |k| in sizes.
+    """
+    n = 2 * g
+    m = identity_matrix(n)
+    for _ in range(steps):
+        step = [[int(i == j) for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(g), rng.randrange(g)
+        k = rng.choice((-1, 1)) * rng.choice(sizes)
+        kind = rng.randrange(3)
+        if kind == 0:
+            step[i][g + j] += k
+            step[j][g + i] += k if i != j else 0
+        elif kind == 1:
+            step[g + i][j] += k
+            step[g + j][i] += k if i != j else 0
+        elif i != j:
+            step[i][j] += k
+            step[g + j][g + i] -= k
+        m = mat_mul(m, tuple(map(tuple, step)))
+    return m
+
+
+def _by_products(m):
+    g = len(m) // 2
+    return mat_mul(transpose(m), mat_mul(symplectic_form(g), m)) == symplectic_form(g)
+
+
+def _bumped(m):
+    """m with one entry moved by +-1, for every entry and both signs."""
+    for i, row in enumerate(m):
+        for j in range(len(row)):
+            for step in (-1, 1):
+                yield m[:i] + (row[:j] + (row[j] + step,) + row[j + 1:],) + m[i + 1:]
+
+
+def test_is_symplectic_on_handle_mixing_products():
+    rng = random.Random(1729)
+    for g in range(2, 9):
+        for _ in range(6):
+            m = _symplectic_product(g, 3 * g, (1, 2, 3), rng)
+            assert is_symplectic(m) and _by_products(m)
+            if g <= 3:
+                for cand in _bumped(m):
+                    assert is_symplectic(cand) == _by_products(cand)
+
+
+def test_is_symplectic_with_entries_near_a_billion():
+    rng = random.Random(613)
+    for g in (2, 3, 4):
+        for _ in range(4):
+            m = _symplectic_product(g, 4, range(10**9 - 99, 10**9 + 100), rng)
+            assert max(abs(v) for row in m for v in row) > 10**9 - 100
+            assert is_symplectic(m)
+            for cand in _bumped(m):
+                assert is_symplectic(cand) == _by_products(cand)
+
+
+def test_is_symplectic_does_not_alias_across_fields():
+    """Matrices whose rows of m^T J m - J all vanish when read in base 2^k.
+
+    With x = 2^k, the first has entries of size up to x - 1 and
+    m^T J m - J = x^2 E01 - x E02 + E12 (Eab the antisymmetric unit at
+    a, b); the second is diag(A, D) with A = [[-x, 1], [1, 0]] and
+    D = [[x, 0], [1, x]], so A^T D - I = [[-x^2, x], [x, -1]].  Fields
+    k bits wide, as wide as the entries of m rather than their squares,
+    would call each of them symplectic.
+    """
+    for k in range(2, 64):
+        x = 1 << k
+        mixed = ((1 - x, 2, 0, 0), (2 - x, 1, -1, 1), (1 - x, 1 - x, 0, 1), (1 - x, 1, 0, 0))
+        diagonal = ((-x, 1, 0, 0), (1, 0, 0, 0), (0, 0, x, 0), (0, 0, 1, x))
+        for m in (mixed, diagonal):
+            assert not _by_products(m)
+            assert not is_symplectic(m)
+
+
 def test_det_and_adjugate():
     m = ((2, 3), (1, 4))
     assert det(m) == 5

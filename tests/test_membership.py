@@ -23,6 +23,7 @@ from mcgcocycles import (
     Endo,
     FreeGroup,
     abelianize,
+    compose,
     d,
     dual,
     earle_psi,
@@ -30,6 +31,7 @@ from mcgcocycles import (
     homology,
     in_N,
     induced_matrix,
+    inner,
     morita_f,
     random_element,
     save_automorphism,
@@ -59,6 +61,13 @@ def test_record_matches_induced_matrix_and_d(pool):
             assert d_and_class(im) == (d(im), abelianize(im))
 
 
+def _composite(F, read_backward):
+    phi = compose(random_element(F, 6, seed=11), inner(F.word("A1 b2")))
+    if read_backward:
+        phi.backward
+    return phi
+
+
 def test_evaluated_element_leaves_no_cyclic_garbage():
     F = FreeGroup(3)
     images = random_element(F, 6, seed=11).images
@@ -66,7 +75,9 @@ def test_evaluated_element_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         # each element is built here, so that nothing else holds it
-        for build in (lambda: Endo(F, images), lambda: random_element(F, 6, seed=11)):
+        builds = (lambda: Endo(F, images), lambda: random_element(F, 6, seed=11),
+                  partial(_composite, F, False), partial(_composite, F, True))
+        for build in builds:
             phi = build()
             member = in_N(phi)
             values = (member.rho, member.rho_inv, f_tilde(phi), morita_f(phi), earle_psi(phi))
@@ -103,10 +114,27 @@ def test_eval_walks_each_image_once(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(["eval", "--in", str(path), "--format", "structured"]) == 0
     assert matrices == []
-    # only the witness is abelianized, for the morita_f correction
+    # only the witness is abelianized, once, for the morita_f correction
     doc = json.loads(out.getvalue())
-    assert classes and set(classes) == {F.word(doc["witness"])}
+    assert classes == [F.word(doc["witness"])]
     assert doc["results"]["morita_f_tilde"] == list(dual(tuple(d(im) for im in phi.images)))
+
+
+def test_morita_f_is_computed_once_per_element(monkeypatch):
+    F = FreeGroup(3)
+    phi = random_element(F, 6, seed=3)
+    classes = []
+    _record_calls(monkeypatch, homology.abelianize, classes)
+    f = morita_f(phi)
+    assert morita_f(phi) is f is in_N(phi).f
+    earle_psi(phi)
+    assert len(classes) == 1
+    # an explicit witness is checked and computed afresh
+    u = in_N(phi).conjugator
+    assert morita_f(phi, witness=u * F.zeta()) == f
+    assert len(classes) == 2
+    with pytest.raises(ValueError):
+        morita_f(phi, witness=u * F.a(1))
 
 
 def test_handle_mixing_rho_inverse_three_ways():
