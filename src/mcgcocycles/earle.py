@@ -31,16 +31,22 @@ def a0(genus: int) -> QVector:
     return (Fraction(0),) * genus + (q,) * genus
 
 
-def coboundary_a0(phi: Endo) -> QVector:
-    """The twisted coboundary rho(phi)^-1 a0 - a0.
-
-    (g - 1) a0 is the integer vector (0, ..., 0, 1, ..., 1), so rho^-1 is
-    applied to that in integers and each entry is divided by g - 1 once.
-    """
+def _shift(phi: Endo) -> tuple[int, ...]:
+    """rho(phi)^-1 e - e in integers, with e = (g - 1) a0 = (0, ..., 0, 1, ..., 1)."""
     genus = phi.group.genus
     ones = (0,) * genus + (1,) * genus
     moved = mat_vec(require_membership(phi).rho_inv, ones)
-    return tuple(Fraction(m - e, genus - 1) for m, e in zip(moved, ones))
+    return tuple(m - e for m, e in zip(moved, ones))
+
+
+def coboundary_a0(phi: Endo) -> QVector:
+    """The twisted coboundary rho(phi)^-1 a0 - a0.
+
+    (g - 1) a0 is the integer vector e of ``_shift``, so each entry is
+    the integer shift divided by g - 1 once.
+    """
+    genus = phi.group.genus
+    return tuple(Fraction(s, genus - 1) for s in _shift(phi))
 
 
 def earle_psi(phi: Endo) -> QVector:
@@ -48,15 +54,11 @@ def earle_psi(phi: Endo) -> QVector:
 
     Restricts to x -> [x] on conjugations and satisfies the twisted
     cocycle identity psi(phi psi') = rho(psi')^-1 psi(phi) + psi(psi').
-    With e = (g - 1) a0 = (0, ..., 0, 1, ..., 1), entry i is the one
-    fraction (2 (rho^-1 e - e)_i - f_i) / (2g - 2); ``coboundary_a0``
-    is the same shift term computed on its own.
+    Entry i is the one fraction (2 s_i - f_i) / (2g - 2), with s the
+    integer shift that ``coboundary_a0`` divides by g - 1.
     """
     genus = phi.group.genus
-    ones = (0,) * genus + (1,) * genus
-    moved = mat_vec(require_membership(phi).rho_inv, ones)
-    return tuple(Fraction(2 * (m - e) - f, 2 * genus - 2)
-                 for m, e, f in zip(moved, ones, morita_f(phi)))
+    return tuple(Fraction(2 * s - f, 2 * genus - 2) for s, f in zip(_shift(phi), morita_f(phi)))
 
 
 def over_canonical_denominator(vec: QVector, genus: int) -> tuple[tuple[int, ...], int]:

@@ -400,13 +400,6 @@ def zeta_power_exponent(w: Word) -> Optional[int]:
     return None
 
 
-def _images_with(group: FreeGroup, override: dict[int, Word]) -> tuple[Word, ...]:
-    gens = list(group.generators())
-    for idx, w in override.items():
-        gens[idx] = w
-    return tuple(gens)
-
-
 @lru_cache(maxsize=None)
 def twist_catalog(group: FreeGroup) -> tuple[Auto, ...]:
     """2g boundary-fixing automorphisms used as random building blocks.
@@ -419,32 +412,20 @@ def twist_catalog(group: FreeGroup) -> tuple[Auto, ...]:
     they only provide cheap variety for randomized identities.
     """
     g = group.genus
-    entries: list[Auto] = []
-    for k in range(1, g + 1):
-        ak, bk = group.a(k), group.b(k)
-        entries.append(
-            Auto(
-                group,
-                _images_with(group, {k - 1: ak * bk}),
-                _images_with(group, {k - 1: ak * bk.inverse()}),
-            )
-        )
-    for k in range(1, g + 1):
-        ak, bk = group.a(k), group.b(k)
-        entries.append(
-            Auto(
-                group,
-                _images_with(group, {g + k - 1: bk * ak}),
-                _images_with(group, {g + k - 1: bk * ak.inverse()}),
-            )
-        )
+    gens = group.generators()
     eye = identity_matrix(group.rank)
-    for entry in entries:
-        m = induced_matrix(entry)
+    entries: list[Auto] = []
+    for idx, x in enumerate(gens):
+        partner = gens[(idx + g) % (2 * g)]
+        images, inverse_images = list(gens), list(gens)
+        images[idx], inverse_images[idx] = x * partner, x * partner.inverse()
+        entry = Auto(group, images, inverse_images)
         if not in_M_g1(entry):
             raise RuntimeError("twist catalog entry moved the boundary word")
+        m = induced_matrix(entry)
         if not is_symplectic(m) or m == eye:
             raise RuntimeError("twist catalog entry has a bad homology action")
+        entries.append(entry)
     return tuple(entries)
 
 

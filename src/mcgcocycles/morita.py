@@ -36,7 +36,8 @@ fixes zeta up to a witness u, and ``morita_f`` removes the inner part:
 This expression is forced by three facts: the twisted cocycle rule,
 f_tilde(conjugation by x) = 2 [x], and the requirement that conjugations
 map to (2 - 2g) [x].  It depends only on the mapping class of phi, not
-on the witness, since witnesses differ by powers of zeta and [zeta] = 0.
+on the witness, since witnesses differ by powers of zeta and [zeta] = 0;
+so ``morita_f`` takes no witness and uses the one ``in_N`` finds.
 
 All values are integer vectors in the basis A_1..A_g, B_1..B_g.
 """
@@ -175,22 +176,14 @@ def f_tilde(phi: Endo) -> Vector:
     return require_membership(phi).f_tilde
 
 
-def morita_f(phi: Endo, witness: Word | None = None) -> Vector:
+def morita_f(phi: Endo) -> Vector:
     """The homology-valued twisted cocycle on the marked-point group.
 
     With u the zeta-conjugating witness of phi,
 
         f(phi) = f_tilde(phi) - 2g rho(phi)^-1 [u].
 
-    The value is computed once per element (``NWitness.f``).  An explicit
-    witness word, checked like the computed one (ValueError), overrides
-    it and is computed afresh; the value does not change, which the tests
-    check.
+    Every witness gives the same value, so none is asked for.  The value
+    is computed once per element (``NWitness.f``).
     """
-    member = require_membership(phi)
-    if witness is None:
-        return member.f
-    zeta = phi.group.zeta()
-    if phi(zeta) != zeta.conjugated_by(witness):
-        raise ValueError("witness does not conjugate zeta to its image")
-    return member.f_at(witness)
+    return require_membership(phi).f

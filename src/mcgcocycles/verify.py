@@ -3,12 +3,14 @@
 A suite is a table of families.  A family is one seeded sampler and the
 named checks that each of its samples must pass, and ``run_checks``, the
 one runner, evaluates every check on every sample.  A check returns True
-when it holds; anything else (False, or the text of a mismatch) fails it,
-and a failed check keeps its first counterexample while the others run
-on.  The detail of a failure is the sample's index and text: the genus,
-the seeds of ``random_element(FreeGroup(g), 4, seed=S)`` and the word
-text, which rebuild the input.  Every suite draws from one generator in
-table order, so a repeated run is byte-for-byte identical.  The tests
+when it holds; anything else (False, the text of a mismatch, or an
+exception) fails it, and a failed check keeps its first counterexample
+while the others run on.  The detail of a failure is the sample's index
+and text: the genus, the seeds of ``random_element(FreeGroup(g), 4,
+seed=S)`` and the word text, which rebuild the input.  Every suite draws
+from one generator in table order, so a repeated run is byte-for-byte
+identical.  The checks call the cocycles directly; each element's
+membership record (``in_N``) is the one cache of its values.  The tests
 run the same samplers, checks and runner with their own seeds and counts.
 """
 
@@ -52,8 +54,9 @@ class Sample:
     """One draw: a group, seeds of random elements, and named random words.
 
     ``p1`` and ``p2`` are ``random_element(group, 4, seed=S)`` of the
-    seeds.  They and the other values the checks share are built on first
-    use and kept with the sample.  ``str()`` is the text that rebuilds it.
+    seeds.  The sample builds its elements and the ``rho2_inv`` oracle on
+    first use and keeps only those; the cocycle values are cached in each
+    element's record (``in_N``).  ``str()`` is the text that rebuilds it.
     """
 
     def __init__(self, group: FreeGroup, seeds: tuple[int, ...] = (),
@@ -62,7 +65,6 @@ class Sample:
         self.seeds = seeds
         self.words = dict(words or {})
         self.__dict__.update(self.words)
-        self._values: dict = {}
 
     def __str__(self) -> str:
         parts = [f"g={self.group.genus}"]
@@ -98,13 +100,6 @@ class Sample:
         """inner(B_g..B_1)^-1 composed with the involution."""
         return compose(inner(_descending_b(self.group, 1).inverse()), self.io)
 
-    def value(self, cocycle: Callable, element: str):
-        """``cocycle`` of the named element, computed once per sample."""
-        key = (cocycle, element)
-        if key not in self._values:
-            self._values[key] = cocycle(getattr(self, element))
-        return self._values[key]
-
 
 def sampler(elements: int = 0, **words: int) -> Callable[[FreeGroup, random.Random], Sample]:
     """Draw ``elements`` seeds, then each named word with 0..bound letters, in order."""
@@ -123,13 +118,18 @@ Check = Callable[[Any], Any]
 def run_checks(checks: dict[str, Check], samples: Iterable, prefix: str = "") -> list[CheckResult]:
     """Every check on every sample; a failed check keeps its first counterexample.
 
-    A check that saw no sample fails rather than passing vacuously.
+    A check that raises fails with ``raised <Type>: <message>`` and the
+    others run on.  A check that saw no sample fails rather than passing
+    vacuously.
     """
     first: dict[str, str] = {}
     k = -1
     for k, sample in enumerate(samples):
         for name, check in checks.items():
-            verdict = check(sample)
+            try:
+                verdict = check(sample)
+            except Exception as exc:
+                verdict = f"raised {type(exc).__name__}: {exc}"
             if verdict is not True and name not in first:
                 found = "" if verdict is False else f"; {verdict}"
                 first[name] = f"sample #{k}: {sample}{found}"
@@ -241,9 +241,9 @@ def cocycle_rule(cocycle: Callable, s: Sample) -> Any:
     ``mat_vec`` is exact on an integer matrix times a Fraction vector, so
     the rule serves the integral cocycles and Earle's psi alike.
     """
-    moved = mat_vec(s.rho2_inv, s.value(cocycle, "p1"))
-    want = tuple(a + b for a, b in zip(moved, s.value(cocycle, "p2")))
-    return _equal(s.value(cocycle, "comp"), want)
+    moved = mat_vec(s.rho2_inv, cocycle(s.p1))
+    want = tuple(a + b for a, b in zip(moved, cocycle(s.p2)))
+    return _equal(cocycle(s.comp), want)
 
 
 def f_tilde_on_conjugation(s: Sample) -> bool:
@@ -263,13 +263,15 @@ def morita_f_on_conjugation(s: Sample) -> bool:
 
 
 def witness_free(element: str = "p1", shifts: tuple[int, ...] = (-2, -1, 1, 2)) -> Check:
-    """morita_f of the element is the same with every witness u zeta^m."""
+    """f of the element is the same with every witness u zeta^m.
+
+    Each u zeta^m conjugates zeta to the element's image of it, as u does.
+    """
 
     def check(s: Sample) -> bool:
-        phi = getattr(s, element)
-        u, zeta = in_N(phi).conjugator, s.group.zeta()
-        base = s.value(morita_f, element)
-        return all(morita_f(phi, witness=u * zeta**m) == base for m in shifts)
+        member = in_N(getattr(s, element))
+        u, zeta = member.conjugator, s.group.zeta()
+        return all(member.f_at(u * zeta**m) == member.f for m in shifts)
 
     return check
 
@@ -291,12 +293,9 @@ def psi_on_conjugation(s: Sample) -> bool:
 def psi_integral(element: str = "comp") -> Check:
     """(2g-2) psi of the element is an integer vector."""
 
-    def check(s: Sample) -> Any:
+    def check(s: Sample) -> bool:
         g = s.group.genus
-        try:
-            nums, den = over_canonical_denominator(s.value(earle_psi, element), g)
-        except ValueError as exc:
-            return str(exc)
+        nums, den = over_canonical_denominator(earle_psi(getattr(s, element)), g)
         return den == 2 * g - 2 and all(isinstance(n, int) for n in nums)
 
     return check

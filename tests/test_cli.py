@@ -404,6 +404,37 @@ def test_verify_failure_detail_replays(monkeypatch):
     assert cocycle_rule(earle_psi, sample) == verdict
 
 
+def test_verify_check_that_raises_fails_and_the_others_run(monkeypatch, capsys):
+    """A check that raises is a FAIL naming the exception, not an aborted run."""
+    f_tilde_at = verify.f_tilde_at
+
+    def fragile(phi, x):
+        if len(x) > 15:
+            raise ArithmeticError(f"word of {len(x)} letters")
+        return f_tilde_at(phi, x)
+
+    monkeypatch.setattr(verify, "f_tilde_at", fragile)
+    assert main(["verify", "cocycle-n", "--g", "2", "--samples", "8", "--seed", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS g=2 f_tilde on conjugations is 2[x]",
+        "PASS g=2 twisted cocycle identity for f_tilde",
+        "FAIL g=2 f_tilde_at additive in the argument",
+        "PASS g=2 f_tilde_at equals pairing with dual class",
+        "PASS g=2 twist catalog fixes the boundary word",
+        "4/5 checks passed (suite cocycle-n, genera 2, samples 8, seed 1)",
+    ]
+
+    [failed] = verify.failures(run_suite("cocycle-n", [2], 8, 1))
+    _, sample, verdict = _replay(failed.detail)
+    assert verdict.startswith("raised ArithmeticError: word of ")
+    with pytest.raises(ArithmeticError) as caught:
+        verify.f_tilde_at_additive(sample)
+    assert verdict == f"raised ArithmeticError: {caught.value}"
+
+
 def test_verify_check_without_samples_fails():
     first = run_suite("words", [2], 0, 0)[0]
     assert (first.name, first.passed, first.detail) == (

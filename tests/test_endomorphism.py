@@ -216,9 +216,10 @@ def test_random_element_is_deterministic_and_in_n():
     a = random_element(F, 5, seed=77)
     b = random_element(F, 5, seed=77)
     assert a == b
-    assert random_element(F, 5, seed=78) != a or True  # different seed may differ
-    for seed in range(12):
-        phi = random_element(F, 4, seed=seed)
+    assert random_element(F, 5, seed=78) != a
+    elements = [random_element(F, 4, seed=seed) for seed in range(12)]
+    assert len(set(elements)) == 12
+    for phi in elements:
         assert isinstance(phi, Auto)
         assert in_N(phi) is not None
 

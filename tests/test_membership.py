@@ -129,12 +129,21 @@ def test_morita_f_is_computed_once_per_element(monkeypatch):
     assert morita_f(phi) is f is in_N(phi).f
     earle_psi(phi)
     assert len(classes) == 1
-    # an explicit witness is checked and computed afresh
+    # another witness gives the same value, computed afresh
     u = in_N(phi).conjugator
-    assert morita_f(phi, witness=u * F.zeta()) == f
+    assert in_N(phi).f_at(u * F.zeta()) == f
     assert len(classes) == 2
-    with pytest.raises(ValueError):
-        morita_f(phi, witness=u * F.a(1))
+
+
+def test_verify_pair_family_builds_one_record_per_element(monkeypatch):
+    """The earle pair checks share one record each for p1, p2 and comp."""
+    walks = []
+    _record_calls(monkeypatch, d_and_class, walks)
+    family, group, rng = verify.SUITES["earle"].families[1], FreeGroup(3), random.Random(0)
+    samples = 4
+    results = run_checks(family.checks, [family.draw(group, rng) for _ in range(samples)])
+    assert [r.passed for r in results] == [True, True]
+    assert len(walks) == 3 * group.rank * samples
 
 
 def test_handle_mixing_rho_inverse_three_ways():

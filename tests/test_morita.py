@@ -202,12 +202,6 @@ def test_morita_f_witness_independence():
     assert not failures(run_checks({"witness": verify.witness_free()}, samples))
 
 
-def test_morita_f_rejects_wrong_witness():
-    F = FreeGroup(2)
-    with pytest.raises(ValueError):
-        morita_f(jablow(F), witness=F.a(1))
-
-
 def test_morita_f_vanishes_on_zeta_conjugation():
     assert verify.vanishes_on_zeta_conjugation(Sample(FreeGroup(2)))
 
