@@ -8,7 +8,9 @@ Three subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or
 usage, 3 input outside the zeta-conjugating group N (the cyclically
-reduced image of zeta is printed for debugging).
+reduced image of zeta is printed for debugging), 141 standard output
+closed before all output was written, as by ``| head`` (no traceback;
+141 is what a shell reports for a process ended by SIGPIPE).
 
 Output is deterministic: the same request produces byte-identical text
 in both formats.
@@ -17,7 +19,9 @@ in both formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .freegroup import FreeGroup
@@ -42,6 +46,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_IN_N = 3
+EXIT_BROKEN_PIPE = 141
 
 COCYCLE_CHOICES = ("morita-f-tilde", "morita-f", "earle-psi", "rho")
 
@@ -61,7 +66,9 @@ def _genus_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="mcg-cocycles",
         description="Exact Morita and Earle twisted 1-cocycle values on "
@@ -231,13 +238,13 @@ def cmd_eval(args) -> int:
 def cmd_builtin(args) -> int:
     try:
         phi = resolve_builtin(FreeGroup(args.g), args.name)
-        if args.out is None:
-            print(json.dumps(to_mapping(phi), indent=2))
-        else:
+        if args.out is not None:
             save_automorphism(phi, args.out)
+            return EXIT_OK
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    print(json.dumps(to_mapping(phi), indent=2))
     return EXIT_OK
 
 
@@ -276,14 +283,20 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+_COMMANDS = {"eval": cmd_eval, "builtin": cmd_builtin, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "builtin":
-        return cmd_builtin(args)
-    return cmd_verify(args)
+    try:
+        args = build_parser().parse_args(argv)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early.  Point the descriptor at
+        # devnull, so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

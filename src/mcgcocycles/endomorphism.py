@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import random
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count, islice
-from operator import ne, neg
+from itertools import islice
 from typing import Iterable, Optional
 
 from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
@@ -50,6 +51,39 @@ class MembershipError(ValueError):
         self.core = core
 
 
+@lru_cache(maxsize=16)
+def _letter_format(rank: int) -> tuple[int, str]:
+    """Bytes per packed letter and its struct code: the narrowest machine integer holding +-rank."""
+    for code in "bhiq":
+        width = struct.calcsize(code)
+        if rank < 1 << (8 * width - 1):
+            return width, code
+    raise ValueError(f"rank {rank} is too large to pack")
+
+
+# struct formats by text, which names the letter count as well as the code
+_struct = lru_cache(maxsize=128)(struct.Struct)
+
+# the negation of a one-byte letter
+_NEG = bytes(-b & 0xFF for b in range(256))
+
+
+def _packed_inverse(image: bytes, width: int, code: str) -> bytes:
+    """The inverse of a packed word: its letters reversed and negated, at C speed.
+
+    Reversing the bytes reverses one-byte letters, which a byte table then
+    negates.  Wider letters are reversed whole through a memoryview, and
+    2^bits - x negates every letter x at once: no letter is 0, so none
+    borrows from its neighbour.
+    """
+    if width == 1:
+        return image[::-1].translate(_NEG)
+    order = sys.byteorder
+    backwards = memoryview(image).cast(code)[::-1].tobytes()
+    ones = int.from_bytes((1).to_bytes(width, order) * (len(image) // width), order)
+    return ((ones << 8 * width) - int.from_bytes(backwards, order)).to_bytes(len(image), order)
+
+
 class Endo:
     """A free-group endomorphism given by generator images.
 
@@ -57,6 +91,15 @@ class Endo:
     Instances are immutable in spirit; the only mutations are internal
     caches of the membership record (see ``in_N``) and of the
     substitution table, which are derived data.
+
+    The substitution table holds every generator's image and inverse
+    image as packed bytes, one signed machine integer per letter, 1 byte
+    wide while 2g <= 127 and wider above.  Applying the map appends the
+    packed images to a ``bytearray`` and cancels at each seam at C speed:
+    the letters that cancel are the equal trailing letters of the output
+    and of the inverse image, and their count is the lowest set bit of the
+    XOR of the output's tail and the inverse image, read as integers,
+    divided by the bits of a letter.
     """
 
     __slots__ = ("group", "images", "_member", "_table")
@@ -73,28 +116,47 @@ class Endo:
         self.group = group
         self.images = imgs
         self._member: object = None  # None unknown, False no, else the NWitness
-        self._table: Optional[list] = None  # built by the first call
+        self._table: Optional[tuple] = None  # built by the first call
 
-    def _substitution_table(self) -> list:
-        """Image letters by signed code: entry c is the image of letter c.
+    def _substitution_table(self) -> tuple:
+        """(width, struct code, packed images, seam ends, inverse values), built once.
 
-        A negative code indexes from the end of the list, where the
-        inverse image of its generator is stored.
+        Entry c of the packed images is the image of letter c, one
+        machine integer per letter; a negative code indexes from the end
+        of the list, where the inverse image of its generator is stored.
+        Entry c of the seam ends is the last letter of the inverse of
+        image c, so an output cancels against image c exactly when it ends
+        with it; for an empty image it is a zero letter, which no output
+        ends with.  Entry c of the inverse values is that inverse image
+        read as one big-endian integer.
         """
-        table: list = [()] * (2 * self.group.rank + 1)
-        for code, im in enumerate(self.images, start=1):
-            table[code] = im.letters
-            table[-code] = tuple(map(neg, reversed(im.letters)))
-        return table
+        rank = self.group.rank
+        width, code = _letter_format(rank)
+        packed: list = [b""] * (2 * rank + 1)
+        ends: list = [bytes(width)] * (2 * rank + 1)
+        inverses: list = [0] * (2 * rank + 1)
+        for c, im in enumerate(self.images, start=1):
+            if im.letters:
+                image = _struct(f"{len(im)}{code}").pack(*im.letters)
+                inverse = _packed_inverse(image, width, code)
+                packed[c], packed[-c] = image, inverse
+                ends[c], ends[-c] = inverse[-width:], image[-width:]
+                inverses[c] = int.from_bytes(inverse, "big")
+                inverses[-c] = int.from_bytes(image, "big")
+        return width, code, packed, ends, inverses
 
     def __call__(self, w: Word) -> Word:
         """Apply to a word; the result is reduced in one pass.
 
         The output so far and each image are reduced, so letters can only
-        cancel at the seam between them: the longest tail of the output
-        that reads the inverse image backwards is dropped, and the rest of
-        the image appended, each at once.  A single generator is looked up
-        without the table.
+        cancel at the seam between them.  There the output's tail is read
+        as an integer and XORed with the whole inverse image: the equal
+        trailing letters, found at once from the lowest set bit, are
+        dropped and the rest of the image appended.  Where the output is
+        shorter than the image its missing letters read as 0, which no
+        letter is, so the count stops at the output's length.  The bytes
+        are decoded into letters once, at the end.  A single generator is
+        looked up without the table.
         """
         if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
@@ -104,20 +166,19 @@ class Endo:
         table = self._table
         if table is None:
             table = self._table = self._substitution_table()
-        out: list[int] = []
-        extend = out.extend
+        width, code, packed, ends, inverses = table
+        bits = 8 * width
+        out = bytearray()
         for c in letters:
-            img = table[c]
-            if out and img and out[-1] == -img[0]:
-                # first position where out, read backwards, stops matching
-                # the inverse image, also read backwards
-                j = next(compress(count(), map(ne, reversed(out), reversed(table[-c]))),
-                         min(len(out), len(img)))
-                del out[len(out) - j:]
-                extend(img[j:])
+            img = packed[c]
+            if out.endswith(ends[c]):
+                x = int.from_bytes(out[-len(img):], "big") ^ inverses[c]
+                # bytes of the equal trailing letters; the whole image when all agree
+                j = ((x & -x).bit_length() - 1) // bits * width if x else len(img)
+                out[len(out) - j:] = img[j:]
             else:
-                extend(img)
-        return Word._from_reduced(self.group, tuple(out))
+                out += img
+        return Word._from_reduced(self.group, _struct(f"{len(out) // width}{code}").unpack(out))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -12,7 +12,7 @@ import pytest
 
 from mcgcocycles import FreeGroup, earle_psi, from_mapping, jablow
 from mcgcocycles import verify
-from mcgcocycles.cli import main
+from mcgcocycles.cli import EXIT_BROKEN_PIPE, build_parser, main
 from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
 
 
@@ -240,6 +240,43 @@ def test_verify_rejects_nonpositive_samples():
 def test_main_in_process():
     assert main(["verify", "paper-vectors", "--g", "2", "--samples", "5"]) == 0
     assert main(["eval", "--in", "builtin:identity", "--g", "2"]) == 0
+
+
+def test_parser_is_built_once_and_prints_as_a_fresh_one(capsys):
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    for argv in (["--help"], ["eval", "--help"], ["verify", "--help"], ["verify", "nope"],
+                 ["eval", "--cocycle", "bogus"], []):
+        printed = []
+        for parse in (main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            printed.append((exit_info.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1], argv
+    # the cached parser still parses after the errors
+    assert main(["builtin", "iota", "--g", "2"]) == 0
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize("argv", (
+    ("eval", "--in", "builtin:iota", "--g", "3", "--format", "structured"),
+    ("builtin", "iota", "--g", "3"),
+    ("verify", "words", "--g", "2", "--samples", "2"),
+))
+def test_closed_stdout_exits_without_a_traceback(argv, buffered):
+    """A reader that closes the pipe early, as ``| head -1`` does."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the first write, so every write fails
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mcgcocycles", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_invalid_cocycle_choice():

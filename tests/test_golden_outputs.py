@@ -3,15 +3,20 @@
 ``golden_outputs.json`` beside this file holds the stdout of a fixed set
 of ``eval`` and ``verify`` runs.  The test reruns them in process and
 compares the bytes, so a change that should not move any value or any
-line of output is checked against the recorded one.  To record the
-outputs again after a deliberate change of output, run
+line of output is checked against the recorded one.  The comparison
+also runs without pytest, under any supported Python:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+It exits 0 when every run matches and 1 naming the first run that
+differs.  To record the outputs again after a deliberate change of
+output, add ``--record``.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -59,13 +64,51 @@ def golden_outputs() -> dict[str, str]:
     return runs
 
 
+def first_difference(want: dict[str, str], got: dict[str, str]):
+    """The first run, in recorded order, whose output differs or that only one side has."""
+    for key in [*want, *(key for key in got if key not in want)]:
+        if want.get(key) != got.get(key):
+            return key
+    return None
+
+
 def test_outputs_match_the_recorded_bytes():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = golden_outputs()
-    assert list(got) == list(want)
-    for key in want:
-        assert got[key] == want[key], key
+    assert first_difference(want, golden_outputs()) is None
+
+
+def test_script_compares_by_default_and_records_only_on_request(tmp_path, monkeypatch, capsys):
+    module = sys.modules[__name__]
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "golden_outputs", lambda: {"run a": "1\n", "run b": "2\n"})
+    recorded = {"run a": "1\n", "run b": "3\n"}
+    golden.write_text(json.dumps(recorded), encoding="utf-8")
+    assert compare_or_record([]) == 1
+    assert capsys.readouterr().err == "output differs from golden.json: run b\n"
+    assert json.loads(golden.read_text(encoding="utf-8")) == recorded  # left alone
+    assert compare_or_record(["--record"]) == 0
+    assert compare_or_record([]) == 0
+    assert compare_or_record(["--bogus"]) == 2
+    golden.write_text(json.dumps({"run a": "1\n"}), encoding="utf-8")
+    assert compare_or_record([]) == 1 and capsys.readouterr().err.endswith(": run b\n")
+
+
+def compare_or_record(argv: list[str]) -> int:
+    if argv == ["--record"]:
+        GOLDEN.write_text(json.dumps(golden_outputs(), indent=1) + "\n", encoding="utf-8")
+        return 0
+    if argv:
+        print("usage: test_golden_outputs.py [--record]", file=sys.stderr)
+        return 2
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    key = first_difference(want, golden_outputs())
+    if key is not None:
+        print(f"output differs from {GOLDEN.name}: {key}", file=sys.stderr)
+        return 1
+    print(f"all {len(want)} runs match {GOLDEN.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1) + "\n", encoding="utf-8")
+    sys.exit(compare_or_record(sys.argv[1:]))

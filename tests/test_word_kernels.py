@@ -3,7 +3,9 @@
 Parsing and substitution are compared with ``word_oracle``, the
 membership witness with the defining equation phi(zeta) = u zeta u^-1,
 and ``d`` with the per-handle syllable formula
-``d_two_gen(project(...))``.
+``d_two_gen(project(...))``.  Substitution packs a letter into one byte
+up to genus 63 and into two from genus 64, so its tests run on both
+sides of that line.
 """
 
 import random
@@ -14,10 +16,13 @@ from hypothesis import given, settings, strategies as st
 import word_oracle
 from sample_elements import twist_chain
 from mcgcocycles import (
+    Auto,
     Endo,
     FreeGroup,
+    compose,
     d,
     d_two_gen,
+    identity_auto,
     in_N,
     inner,
     jablow,
@@ -109,6 +114,102 @@ def test_apply_matches_oracle_on_inverse_images():
                 assert inv(w).letters == word_oracle.substitute(inv, w)
             for k, gen in enumerate(F.generators()):
                 assert inv(phi.images[k]) == gen
+
+
+# one-byte letters while 2g <= 127, two-byte letters above
+WIDTH_GENERA = (2, 5, 63, 64, 100)
+
+
+def _handle_chain(group, handle: int, min_letters: int, rng):
+    """inner(x) after alternating A and B twists of one handle, until an image is long.
+
+    The two twists are built here rather than read from ``twist_catalog``,
+    so a large genus stays cheap.  x is a random word off the twisted
+    handle, so every image is conjugated and the seams of zeta cancel
+    across handles, while the preimage of zeta stays short.
+    """
+    g = group.genus
+    gens = group.generators()
+    twists = []
+    for k, partner in ((handle - 1, g + handle - 1), (g + handle - 1, handle - 1)):
+        images, inverse = list(gens), list(gens)
+        images[k], inverse[k] = gens[k] * gens[partner], gens[k] * gens[partner].inverse()
+        twists.append(Auto(group, images, inverse))
+    phi, k = identity_auto(group), 0
+    while max(map(len, phi.images)) < min_letters:
+        phi, k = compose(phi, twists[k % 2]), k + 1
+    others = [c for c in range(1, 2 * g + 1) if c not in (handle, g + handle)]
+    x = group.from_letters(rng.choice((1, -1)) * rng.choice(others) for _ in range(30))
+    return compose(inner(x), phi)
+
+
+@pytest.mark.parametrize("g", WIDTH_GENERA)
+def test_apply_matches_oracle_on_long_chains_at_every_width(g):
+    rng = random.Random(300 + g)
+    F = FreeGroup(g)
+    assert endomorphism._letter_format(F.rank)[0] == (1 if g <= 63 else 2)
+    zeta, gen_a, gen_b = F.zeta(), F.a(g), F.b(g)
+    phi = _handle_chain(F, g, 20_000, rng)
+    assert max(map(len, phi.images)) >= 20_000
+    back = phi.backward
+    for w in (zeta, zeta.inverse(), gen_a.inverse(), gen_b.inverse(), gen_a * gen_b):
+        assert phi(w).letters == word_oracle.substitute(phi, w)
+        assert back(w).letters == word_oracle.substitute(back, w)
+    # x^-1 zeta x: every twisted image cancels against its neighbours in full
+    pre = back(zeta)
+    assert phi(pre) == zeta and len(pre) <= len(zeta) + 60
+    # a preimage as long as the images costs their product, so a shorter chain
+    phi = _handle_chain(F, g, 2_000, rng)
+    back = phi.backward
+    for w in (gen_a, gen_b.inverse(), zeta):
+        pre = back(w)
+        assert pre.letters == word_oracle.substitute(back, w)
+        assert phi(pre) == w
+
+
+@pytest.mark.parametrize("g", WIDTH_GENERA)
+def test_apply_matches_oracle_on_empty_images_and_single_letters(g):
+    rng = random.Random(400 + g)
+    F = FreeGroup(g)
+    # every third image empty, the rest short or one letter long
+    images = [F.identity() if k % 3 == 0 else random_word(F, rng.randint(1, 5), rng)
+              for k in range(F.rank)]
+    phi = Endo(F, images)
+    for c in range(1, F.rank + 1):
+        for w in (F.from_letters((-c,)), F.from_letters((c,))):
+            assert phi(w).letters == word_oracle.substitute(phi, w)
+    assert phi(F.from_letters((-1,))) == F.identity()  # image 0 is empty
+    # outputs far longer than any image
+    for w in (F.zeta(), F.zeta().inverse(), random_word(F, 1_000, rng)):
+        assert phi(w).letters == word_oracle.substitute(phi, w)
+
+
+@pytest.mark.parametrize("g", WIDTH_GENERA)
+def test_seam_cancels_exactly_up_to_the_first_mismatch(g):
+    """A1 -> u and A2 -> (last j letters of u)^-1 v cancel exactly j letters.
+
+    The letters are positive, so both images are reduced, and the first
+    letter that must not cancel is the same code on both sides of the
+    seam: 128 where letters are two bytes wide, so it agrees with its
+    inverse in the low byte and differs in the high byte only.
+    """
+    F = FreeGroup(g)
+    hi = 128 if F.rank >= 128 else F.rank
+    fill = [c for _ in range(12) for c in range(1, F.rank + 1) if c != hi][:12]
+    for n, tail in ((5, 1), (5, 12), (12, 3)):
+        for j in (0, 1, n - 1, n):
+            u = fill[:n]
+            if j < n:
+                u[n - j - 1] = hi  # the first letter left of the seam
+            v = [hi] + fill[:tail - 1]
+            image_2 = [-c for c in reversed(u[n - j:])] + v
+            phi = Endo(F, [F.from_letters(u), F.from_letters(image_2)]
+                       + [F.identity()] * (F.rank - 2))
+            assert len(phi.images[0]) == n and len(phi.images[1]) == j + tail
+            w = F.word("A1 A2")
+            assert phi(w).letters == tuple(u[:n - j] + v) == word_oracle.substitute(phi, w)
+            assert phi(w.inverse()).letters == word_oracle.substitute(phi, w.inverse())
+            assert phi(w.inverse()) == phi(w).inverse()
 
 
 MALFORMED = (
