@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
-from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
+from .freegroup import _NEG, FreeGroup, Word, commutator, conjugator, random_word
 from .homology import (
     Matrix,
     Vector,
@@ -63,9 +63,6 @@ def _letter_format(rank: int) -> tuple[int, str]:
 
 # struct formats by text, which names the letter count as well as the code
 _struct = lru_cache(maxsize=128)(struct.Struct)
-
-# the negation of a one-byte letter
-_NEG = bytes(-b & 0xFF for b in range(256))
 
 
 def _packed_inverse(image: bytes, width: int, code: str) -> bytes:

@@ -21,6 +21,14 @@ generators, ``a3``/``b3`` for their inverses, and the literal ``1`` for
 the empty word.  One pair of tables per genus holds the text form in
 both directions, filled as tokens and codes are first asked for.
 
+Text takes one of two routes.  The form ``str(Word)`` writes at genus
+<= 9, two-character tokens joined by single spaces, is decoded whole:
+byte translates turn the kind and digit characters into one index byte
+per letter, and a per-genus byte table turns those into letter codes,
+all at C speed.  Any other text, and any text holding a token that the
+table does not know, goes token by token through the code table, the
+only route that raises and words its errors.
+
 >>> F = FreeGroup(2)
 >>> w = F.word("A1 B2 b2 a1 B1")
 >>> str(w)
@@ -34,12 +42,34 @@ both directions, filled as tokens and codes are first asked for.
 from __future__ import annotations
 
 import re
+import struct
 from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Optional
 
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
+
+# the negation of a one-byte letter
+_NEG = bytes(-b & 0xFF for b in range(256))
+
+
+def _byte_table(pairs) -> bytes:
+    """A 256-byte translate table holding ``pairs`` and mapping every other byte to 0."""
+    table = bytearray(256)
+    for key, value in pairs:
+        table[key] = value
+    return bytes(table)
+
+
+# a two-character token's kind goes to the high nibble of its index byte and
+# its digit to the low one, so ORing two translates gives the index; any
+# other character translates to 0
+_KIND_NIBBLES = {"A": 0x10, "B": 0x20, "a": 0x30, "b": 0x40}
+_KIND_BITS = _byte_table((ord(kind), bits) for kind, bits in _KIND_NIBBLES.items())
+_DIGIT_BITS = _byte_table(zip(b"123456789", range(1, 10)))
+# the largest genus whose every token is two characters long
+_SHORT_GENUS = 9
 
 
 class _Table(dict):
@@ -81,6 +111,20 @@ class _Alphabet:
         return f"{kind if code > 0 else kind.lower()}{index}"
 
     @cached_property
+    def letter_bytes(self) -> bytes:
+        """Translate table from a token's index byte to its letter code as a signed byte.
+
+        Filled for the valid two-character tokens (genus <= 9 has no
+        other); every other index, a malformed token among them, maps to 0.
+        """
+        code = self.group.letter_code
+        return _byte_table(
+            (bits | i, code(kind.upper(), i, 1 if kind.isupper() else -1) & 0xFF)
+            for kind, bits in _KIND_NIBBLES.items()
+            for i in range(1, min(self.group.genus, _SHORT_GENUS) + 1)
+        )
+
+    @cached_property
     def generators(self) -> tuple["Word", ...]:
         return tuple(Word(self.group, (code,)) for code in range(1, self.group.rank + 1))
 
@@ -94,15 +138,58 @@ class _Alphabet:
 _alphabet = lru_cache(maxsize=16)(_Alphabet)
 
 
+def _canonical_codes(text: str, table: bytes) -> Optional[bytes]:
+    """The letters of canonical text as signed bytes, or None for any other text.
+
+    Canonical text is what ``str(Word)`` writes at genus <= 9: tokens of
+    two ASCII characters joined by single spaces.  The kind characters
+    and the digit characters each go through one translate, their bytes
+    are ORed as big integers into one index byte per letter, and
+    ``table`` maps the index bytes to letter codes.  A token the table
+    does not know gives a 0 byte, and then None.
+    """
+    n = (len(text) + 1) // 3
+    if len(text) != 3 * n - 1 or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw[2::3] != b" " * (n - 1):
+        return None
+    kinds = int.from_bytes(raw[0::3].translate(_KIND_BITS), "little")
+    digits = int.from_bytes(raw[1::3].translate(_DIGIT_BITS), "little")
+    codes = (kinds | digits).to_bytes(n, "little").translate(table)
+    return None if 0 in codes else codes
+
+
+def _has_cancelling_pair(codes: bytes) -> bool:
+    """Whether two neighbours of a word of signed one-byte letters cancel.
+
+    Letter i+1 cancels letter i exactly when it equals its negation, so
+    when ``codes[1:]`` XOR the negated ``codes[:-1]`` has a zero byte.
+    Read as one integer x, that holds exactly when
+    ``(x - 0x0101...) & ~x & 0x8080...`` is nonzero.
+    """
+    m = len(codes) - 1
+    if m <= 0:
+        return False
+    x = int.from_bytes(codes[1:], "little") ^ int.from_bytes(codes[:-1].translate(_NEG), "little")
+    ones = int.from_bytes(b"\x01" * m, "little")
+    return bool((x - ones) & ~x & (ones << 7))
+
+
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence with a single stack pass.
+    """Freely reduce a letter sequence.
 
     A sequence in which no two neighbours sum to 0 is already reduced,
-    and that test runs at C speed, so reduced input skips the pass.
+    and that test runs at C speed, so reduced input skips the stack pass.
     """
     codes = tuple(letters)
     if 0 not in map(add, codes, codes[1:]):
         return codes
+    return _stack_reduce(codes)
+
+
+def _stack_reduce(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduce a letter sequence with a single stack pass."""
     out: list[int] = []
     for c in codes:
         if out and out[-1] == -c:
@@ -186,7 +273,10 @@ class FreeGroup:
     def word(self, text: str) -> "Word":
         """Parse word text.
 
-        Each token is looked up in the per-genus code table, which
+        Canonical text, the form ``str(Word)`` writes at genus <= 9, is
+        decoded whole at C speed (``_canonical_codes``); only a word with
+        a cancelling pair then takes a stack pass.  Any other text is
+        looked up token by token in the per-genus code table, which
         decodes a token on first sight; the first bad token raises.
 
         >>> FreeGroup(3).word("B3 a1").letters
@@ -204,7 +294,15 @@ class FreeGroup:
         ...
         ValueError: generator index 3 out of range 1..2
         """
-        return Word(self, filter(None, map(self.alphabet.codes.__getitem__, text.split())))
+        codes = None
+        if self.genus <= _SHORT_GENUS:
+            codes = _canonical_codes(text, self.alphabet.letter_bytes)
+        if codes is None:
+            return Word(self, filter(None, map(self.alphabet.codes.__getitem__, text.split())))
+        letters = struct.unpack(f"{len(codes)}b", codes)
+        if _has_cancelling_pair(codes):
+            letters = _stack_reduce(letters)
+        return Word._from_reduced(self, letters)
 
     def zeta(self) -> "Word":
         """The boundary word [A_1, B_1] ... [A_g, B_g], 4g letters; built once per genus."""
@@ -261,13 +359,17 @@ class Word:
         return self.inverse()
 
     def __pow__(self, n: int) -> "Word":
+        """w^n = prefix core^n prefix^-1, from ``cyclic_reduce``; reduced as written."""
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        out = self.group.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        if n == 0:
+            return self.group.identity()
+        core, prefix = self.cyclic_reduce()
+        if n < 0:
+            core, n = core.inverse(), -n
+        return Word._from_reduced(
+            self.group, prefix.letters + core.letters * n + prefix.inverse().letters
+        )
 
     def conjugated_by(self, u: "Word") -> "Word":
         """u * self * u^-1."""

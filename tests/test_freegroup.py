@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -55,6 +56,33 @@ def test_inverse_and_power():
     assert x ** 3 == x * x * x
     assert x ** -2 == (x.inverse()) * (x.inverse())
     assert (x ** 0).is_identity()
+
+
+def test_power_matches_repeated_products_on_conjugated_words():
+    rng = random.Random(2024)
+    for g in (2, 3, 5):
+        F = FreeGroup(g)
+        words = [F.identity(), F.a(1), F.zeta(), F.zeta().conjugated_by(F.word("B1 a2"))]
+        while len(words) < 24:
+            u = random_word(F, rng.randint(1, 5), rng)
+            w = random_word(F, rng.randint(1, 8), rng).conjugated_by(u)
+            if len(w.cyclic_reduce()[1]):  # not cyclically reduced
+                words.append(w)
+        for w in words:
+            for n in range(-4, 5):
+                base, want = (w if n > 0 else w.inverse()), F.identity()
+                for _ in range(abs(n)):
+                    want = want * base
+                assert w ** n == want
+                assert (w ** n).letters == Word(F, base.letters * abs(n)).letters
+
+
+def test_power_is_linear_in_the_exponent():
+    zeta = FreeGroup(2).zeta()
+    start = time.perf_counter()
+    power = zeta ** 20000
+    assert time.perf_counter() - start < 0.25  # repeated products took seconds
+    assert len(power) == 8 * 20000 and power.letters[:8] == zeta.letters
 
 
 def test_commutator():

@@ -229,6 +229,14 @@ MALFORMED = (
     "A-1",
     "11",
     "A١",
+    # one space between two-character tokens, as printed words have
+    "A1 A0",
+    "B2 b2 C1",
+    "A1 a١",
+    "A1 B3 b1",
+    "A1  A0",
+    "A1\tA3",
+    "A1 B1 A0 ",
 )
 
 
@@ -244,7 +252,8 @@ def test_malformed_text_raises_the_oracle_message(text):
 
 def test_stray_ones_and_mixed_whitespace_parse_like_the_oracle():
     F = FreeGroup(2)
-    for text in ("1", "1 1\t1", "", " \n ", "  A1\tB1\n1\r\n a1  b1 1 ", "B2 1 b2"):
+    for text in ("1", "1 1\t1", "", " \n ", "  A1\tB1\n1\r\n a1  b1 1 ", "B2 1 b2",
+                 "A1 B1 ", " A1 B1", "A1  B1", "A1\tB1", "A1 B1 b1 a1", "B2"):
         assert F.word(text).letters == word_oracle.parse(F, text)
 
 
@@ -306,6 +315,100 @@ def test_parser_above_the_table_genus_and_bounded_cache():
     assert F.word(text).letters == word_oracle.parse(F, text) == (2 * F.genus,)
     maxsize = freegroup._alphabet.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
+
+
+def _canonical_text(g: int):
+    """Two-character tokens joined by single spaces: valid, out of range and malformed,
+    each followed at random by its inverse, so pairs cancel anywhere in the text."""
+    valid = st.builds("{}{}".format, st.sampled_from("ABab"), st.integers(1, min(g, 9)))
+    malformed = st.sampled_from(("A0", "b0", "C1", "c2", "a١", "11", "1A", "AA", "a:", "B/"))
+    out_of_range = (st.builds("{}{}".format, st.sampled_from("ABab"), st.integers(g + 1, 9))
+                    if g < 9 else malformed)
+    token = st.one_of(valid, valid, valid, valid, out_of_range, malformed)
+    pieces = st.lists(st.tuples(token, st.booleans()), max_size=40)
+    return pieces.map(lambda ps: " ".join(t + (" " + t.swapcase()) * pair for t, pair in ps))
+
+
+@pytest.mark.parametrize("g", (2, 5, 9, 10))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_text_decode_matches_oracle(g, data):
+    F = FreeGroup(g)
+    text = data.draw(_canonical_text(g))
+    try:
+        want = word_oracle.parse(F, text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            F.word(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert F.word(text).letters == want
+
+
+class _Tripwire:
+    """A code table that fails the test when the token route reads it."""
+
+    def __getitem__(self, token):
+        raise AssertionError(f"token route read {token!r}")
+
+
+@pytest.mark.parametrize("g", (2, 5, 9, 10))
+def test_printed_words_take_the_whole_text_decode_up_to_genus_9(g, monkeypatch):
+    rng = random.Random(500 + g)
+    F = FreeGroup(g)
+    words = [F.zeta(), *F.generators()]
+    words += [random_word(F, rng.randint(1, 300), rng) for _ in range(20)]
+    decoded = []
+    decode = freegroup._canonical_codes
+
+    def spy(text, table):
+        decoded.append(decode(text, table))
+        return decoded[-1]
+
+    monkeypatch.setattr(freegroup, "_canonical_codes", spy)
+    if g <= 9:
+        monkeypatch.setattr(F.alphabet, "codes", _Tripwire())
+    for w in words:
+        assert F.word(str(w)) == w
+        # a cancelling pair at the join still decodes whole, then takes the stack pass
+        assert F.word(f"{w} {w.inverse()} {F.a(1)}") == F.a(1)
+    if g <= 9:
+        assert len(decoded) == 2 * len(words) and None not in decoded
+    else:
+        assert decoded == []
+
+
+def _reduced_with(group, fixed: dict, length: int, rng) -> list:
+    """A reduced letter list of the given length holding ``fixed`` {position: letter}."""
+    letters: list = []
+    for k in range(length):
+        if k in fixed:
+            letters.append(fixed[k])
+            continue
+        while True:
+            c = rng.choice((1, -1)) * rng.randint(1, group.rank)
+            if (not letters or letters[-1] != -c) and fixed.get(k + 1, 0) != -c:
+                letters.append(c)
+                break
+    return letters
+
+
+def test_cancelling_pair_detector_at_every_position_and_letter_byte():
+    """Every letter code at g = 9, bytes 0x01..0x12 and 0xEE..0xFF, at every
+    position of a 40-letter word: followed by its inverse the pair is found,
+    followed by any other letter nothing is."""
+    rng = random.Random(41)
+    F = FreeGroup(9)
+    codes = [c for c in range(-F.rank, F.rank + 1) if c]
+    for c in codes:
+        for i in range(39):
+            other = rng.choice([x for x in codes if x != -c])
+            for follower, cancels in ((-c, True), (other, False)):
+                letters = _reduced_with(F, {i: c, i + 1: follower}, 40, rng)
+                packed = bytes(x & 0xFF for x in letters)
+                assert freegroup._has_cancelling_pair(packed) is cancels, (letters, i)
+                text = " ".join(map(F.alphabet.tokens.__getitem__, letters))
+                assert F.word(text).letters == word_oracle.parse(F, text)
 
 
 class _CountingEndo(Endo):

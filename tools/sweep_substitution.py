@@ -1,4 +1,4 @@
-"""Per-letter cost of phi(zeta) over genus and image length.
+"""Per-letter cost of phi(zeta) and of parsing word text, over genus and length.
 
     python3 tools/sweep_substitution.py [--out sweep.json] [--repeats 20]
 
@@ -12,8 +12,13 @@ is the number of image letters substituted into phi(zeta), the count
 ``bench/tracing.py`` reports for ``endomorphism.call``.  ``first_ns``
 is the best time per letter of a first call, which builds the
 substitution table; ``repeat_ns`` of a call that finds the table built.
-Each time is the least of ``--repeats`` runs.  The whole sweep takes
-a few seconds.
+
+The second table, ``parse_rows``, times ``FreeGroup.word`` on the text
+``str(w)`` of a fixed-seed random reduced word w of ``letters`` letters,
+over ``PARSE_GENERA``: ``ns`` is the best time per letter.  Up to genus
+9 that text is decoded whole; from genus 10 it goes token by token, so
+those rows show the token route.  Each time is the least of
+``--repeats`` runs.  The whole sweep takes a few seconds.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mcgcocycles import Auto, Endo, FreeGroup, compose, identity_auto, inner  # noqa: E402
+from mcgcocycles import Auto, Endo, FreeGroup, compose, identity_auto, inner, random_word  # noqa: E402
 
 GENERA = (2, 5, 12, 64, 200)
+PARSE_GENERA = (2, 5, 9, 12, 64)
 LENGTHS = (100, 1_000, 10_000, 100_000)
 SEED = 9
 
@@ -80,6 +86,18 @@ def sweep(repeats: int) -> list[dict]:
     return rows
 
 
+def sweep_parse(repeats: int) -> list[dict]:
+    rows = []
+    for g in PARSE_GENERA:
+        group = FreeGroup(g)
+        for length in LENGTHS:
+            text = str(random_word(group, length, random.Random(SEED)))
+            ns = best_ns(lambda: group.word(text), length, repeats)
+            rows.append({"genus": g, "letters": length, "ns": round(ns, 2)})
+            print(json.dumps(rows[-1]), file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=None, help="write the result here as well")
@@ -91,6 +109,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeats": args.repeats,
         "rows": sweep(args.repeats),
+        "parse_rows": sweep_parse(args.repeats),
     }
     text = json.dumps(result, indent=1)
     if args.out:
