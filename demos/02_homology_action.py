@@ -11,11 +11,16 @@ from mcgcocycles import (
     intersection,
     is_symplectic,
     jablow,
-    mat_mul,
     random_element,
     symplectic_inverse,
     twist_catalog,
 )
+
+
+def mat_mul(a, b):
+    """The matrix product, which the package does not need for itself."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
 
 F = FreeGroup(2)
 

@@ -17,11 +17,8 @@ from .homology import (
     induced_matrix,
     intersection,
     is_symplectic,
-    mat_mul,
     mat_vec,
-    symplectic_form,
     symplectic_inverse,
-    transpose,
 )
 from .endomorphism import (
     Auto,
@@ -51,7 +48,6 @@ from .morita import (
     f_tilde,
     f_tilde_at,
     morita_f,
-    project,
     syllables,
 )
 from .earle import QVector, a0, coboundary_a0, earle_psi, over_canonical_denominator
@@ -72,11 +68,8 @@ __all__ = [
     "induced_matrix",
     "intersection",
     "is_symplectic",
-    "mat_mul",
     "mat_vec",
-    "symplectic_form",
     "symplectic_inverse",
-    "transpose",
     "Auto",
     "Endo",
     "MembershipError",
@@ -102,7 +95,6 @@ __all__ = [
     "f_tilde",
     "f_tilde_at",
     "morita_f",
-    "project",
     "syllables",
     "QVector",
     "a0",

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import random
-import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
-from .freegroup import _NEG, FreeGroup, Word, commutator, conjugator, random_word
+from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
+from .freegroup import _letter_format, _packed_inverse
 from .homology import (
     Matrix,
     Vector,
@@ -51,36 +50,6 @@ class MembershipError(ValueError):
         self.core = core
 
 
-@lru_cache(maxsize=16)
-def _letter_format(rank: int) -> tuple[int, str]:
-    """Bytes per packed letter and its struct code: the narrowest machine integer holding +-rank."""
-    for code in "bhiq":
-        width = struct.calcsize(code)
-        if rank < 1 << (8 * width - 1):
-            return width, code
-    raise ValueError(f"rank {rank} is too large to pack")
-
-
-# struct formats by text, which names the letter count as well as the code
-_struct = lru_cache(maxsize=128)(struct.Struct)
-
-
-def _packed_inverse(image: bytes, width: int, code: str) -> bytes:
-    """The inverse of a packed word: its letters reversed and negated, at C speed.
-
-    Reversing the bytes reverses one-byte letters, which a byte table then
-    negates.  Wider letters are reversed whole through a memoryview, and
-    2^bits - x negates every letter x at once: no letter is 0, so none
-    borrows from its neighbour.
-    """
-    if width == 1:
-        return image[::-1].translate(_NEG)
-    order = sys.byteorder
-    backwards = memoryview(image).cast(code)[::-1].tobytes()
-    ones = int.from_bytes((1).to_bytes(width, order) * (len(image) // width), order)
-    return ((ones << 8 * width) - int.from_bytes(backwards, order)).to_bytes(len(image), order)
-
-
 class Endo:
     """A free-group endomorphism given by generator images.
 
@@ -90,9 +59,9 @@ class Endo:
     substitution table, which are derived data.
 
     The substitution table holds every generator's image and inverse
-    image as packed bytes, one signed machine integer per letter, 1 byte
-    wide while 2g <= 127 and wider above.  Applying the map appends the
-    packed images to a ``bytearray`` and cancels at each seam at C speed:
+    image as packed bytes: the images' own ``Word.packed`` and their
+    inverses in that format.  Applying the map appends the packed images
+    to a ``bytearray`` and cancels at each seam at C speed:
     the letters that cancel are the equal trailing letters of the output
     and of the inverse image, and their count is the lowest set bit of the
     XOR of the output's tail and the inverse image, read as integers,
@@ -116,7 +85,7 @@ class Endo:
         self._table: Optional[tuple] = None  # built by the first call
 
     def _substitution_table(self) -> tuple:
-        """(width, struct code, packed images, seam ends, inverse values), built once.
+        """(width, packed images, seam ends, inverse values), built once.
 
         Entry c of the packed images is the image of letter c, one
         machine integer per letter; a negative code indexes from the end
@@ -128,19 +97,19 @@ class Endo:
         read as one big-endian integer.
         """
         rank = self.group.rank
-        width, code = _letter_format(rank)
+        width = _letter_format(rank)[0]
         packed: list = [b""] * (2 * rank + 1)
         ends: list = [bytes(width)] * (2 * rank + 1)
         inverses: list = [0] * (2 * rank + 1)
         for c, im in enumerate(self.images, start=1):
-            if im.letters:
-                image = _struct(f"{len(im)}{code}").pack(*im.letters)
-                inverse = _packed_inverse(image, width, code)
+            image = im.packed
+            if image:
+                inverse = _packed_inverse(image, self.group)
                 packed[c], packed[-c] = image, inverse
                 ends[c], ends[-c] = inverse[-width:], image[-width:]
                 inverses[c] = int.from_bytes(inverse, "big")
                 inverses[-c] = int.from_bytes(image, "big")
-        return width, code, packed, ends, inverses
+        return width, packed, ends, inverses
 
     def __call__(self, w: Word) -> Word:
         """Apply to a word; the result is reduced in one pass.
@@ -152,30 +121,30 @@ class Endo:
         dropped and the rest of the image appended.  Where the output is
         shorter than the image its missing letters read as 0, which no
         letter is, so the count stops at the output's length.  The bytes
-        are decoded into letters once, at the end.  A single generator is
+        become the result's ``packed`` as they are.  A single generator is
         looked up without the table.
         """
         if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
-        letters = w.letters
+        letters = w.view
         if len(letters) == 1 and letters[0] > 0:
             return self.images[letters[0] - 1]
         table = self._table
         if table is None:
             table = self._table = self._substitution_table()
-        width, code, packed, ends, inverses = table
+        width, packed, ends, inverses = table
         bits = 8 * width
         out = bytearray()
         for c in letters:
             img = packed[c]
             if out.endswith(ends[c]):
                 x = int.from_bytes(out[-len(img):], "big") ^ inverses[c]
-                # bytes of the equal trailing letters; the whole image when all agree
+                # freegroup._cancelled, the inverse image read as an integer once per table
                 j = ((x & -x).bit_length() - 1) // bits * width if x else len(img)
                 out[len(out) - j:] = img[j:]
             else:
                 out += img
-        return Word._from_reduced(self.group, _struct(f"{len(out) // width}{code}").unpack(out))
+        return Word._from_reduced(self.group, bytes(out))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -12,9 +12,10 @@ these generators, so this module owns the word representation.
 
 Letters are encoded as nonzero integers: ``+i`` with ``1 <= i <= g`` is
 ``A_i``, ``+(g+i)`` is ``B_i``, and negation is inversion.  A ``Word``
-stores a freely reduced tuple of letters together with its ambient
+stores its freely reduced letters as bytes, one signed machine integer
+per letter (1 byte wide while 2g <= 127), together with its ambient
 ``FreeGroup``; all constructors reduce, so reduction is an invariant,
-never a caller obligation.
+never a caller obligation.  ``Word.letters`` decodes the bytes on read.
 
 Word text syntax: tokens separated by whitespace, ``A3``/``B3`` for
 generators, ``a3``/``b3`` for their inverses, and the literal ``1`` for
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Optional
@@ -52,6 +54,44 @@ _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 
 # the negation of a one-byte letter
 _NEG = bytes(-b & 0xFF for b in range(256))
+
+
+def _letter_format(rank: int) -> tuple[int, str]:
+    """Bytes per packed letter and its struct code: the narrowest machine integer holding +-rank."""
+    for code in "bhiq":
+        width = struct.calcsize(code)
+        if rank < 1 << (8 * width - 1):
+            return width, code
+    raise ValueError(f"rank {rank} is too large to pack")
+
+
+# struct formats by text, which names the letter count as well as the code
+_struct = lru_cache(maxsize=128)(struct.Struct)
+
+
+def _packed_inverse(packed: bytes, group: "FreeGroup") -> bytes:
+    """The inverse of a packed word: its letters reversed and negated, at C speed.
+
+    Reversing the bytes reverses one-byte letters, which a byte table then
+    negates.  Wider letters are reversed whole through a memoryview, and
+    2^bits - x negates every letter x at once: no letter is 0, so none
+    borrows from its neighbour.
+    """
+    if group.width == 1:
+        return packed[::-1].translate(_NEG)
+    width, order = group.width, sys.byteorder
+    backwards = memoryview(packed).cast(group.code)[::-1].tobytes()
+    ones = int.from_bytes((1).to_bytes(width, order) * (len(packed) // width), order)
+    return ((ones << 8 * width) - int.from_bytes(backwards, order)).to_bytes(len(packed), order)
+
+
+def _cancelled(a: bytes, b: bytes, group: "FreeGroup") -> int:
+    """Bytes of the tail of packed word a that the head of b cancels, from their XOR's low bit."""
+    n, width = min(len(a), len(b)), group.width
+    if not n or a[-width:] != _packed_inverse(b[:width], group):
+        return 0
+    x = int.from_bytes(a[-n:], "big") ^ int.from_bytes(_packed_inverse(b[:n], group), "big")
+    return ((x & -x).bit_length() - 1) // (8 * width) * width if x else n
 
 
 def _byte_table(pairs) -> bytes:
@@ -176,29 +216,6 @@ def _has_cancelling_pair(codes: bytes) -> bool:
     return bool((x - ones) & ~x & (ones << 7))
 
 
-def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence.
-
-    A sequence in which no two neighbours sum to 0 is already reduced,
-    and that test runs at C speed, so reduced input skips the stack pass.
-    """
-    codes = tuple(letters)
-    if 0 not in map(add, codes, codes[1:]):
-        return codes
-    return _stack_reduce(codes)
-
-
-def _stack_reduce(codes: tuple[int, ...]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence with a single stack pass."""
-    out: list[int] = []
-    for c in codes:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 class FreeGroup:
     """Ambient context: the free group of rank 2g, g >= 2.
 
@@ -206,12 +223,13 @@ class FreeGroup:
     ``FreeGroup(3)`` objects interoperate; they share one ``alphabet``.
     """
 
-    __slots__ = ("genus", "alphabet")
+    __slots__ = ("genus", "alphabet", "width", "code")
 
     def __init__(self, genus: int):
         if not isinstance(genus, int) or genus < 2:
             raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
         self.genus = genus
+        self.width, self.code = _letter_format(2 * genus)  # of a packed letter
         self.alphabet = _alphabet(self)
 
     @property
@@ -299,10 +317,9 @@ class FreeGroup:
             codes = _canonical_codes(text, self.alphabet.letter_bytes)
         if codes is None:
             return Word(self, filter(None, map(self.alphabet.codes.__getitem__, text.split())))
-        letters = struct.unpack(f"{len(codes)}b", codes)
         if _has_cancelling_pair(codes):
-            letters = _stack_reduce(letters)
-        return Word._from_reduced(self, letters)
+            return Word(self, memoryview(codes).cast("b"))
+        return Word._from_reduced(self, codes)
 
     def zeta(self) -> "Word":
         """The boundary word [A_1, B_1] ... [A_g, B_g], 4g letters; built once per genus."""
@@ -310,20 +327,30 @@ class FreeGroup:
 
 
 class Word:
-    """A freely reduced word, immutable and hashable."""
+    """A freely reduced word, immutable and hashable; ``packed`` holds its letters."""
 
-    __slots__ = ("group", "letters")
+    __slots__ = ("group", "packed")
 
     def __init__(self, group: FreeGroup, letters: Iterable[int] = ()):
+        codes = tuple(letters)
+        # no two neighbours summing to 0, a test at C speed, means reduced
+        if 0 in map(add, codes, codes[1:]):
+            out: list[int] = []
+            for c in codes:
+                if out and out[-1] == -c:
+                    out.pop()
+                else:
+                    out.append(c)
+            codes = out
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "letters", _reduce(letters))
+        object.__setattr__(self, "packed", _struct(f"{len(codes)}{group.code}").pack(*codes))
 
     @classmethod
-    def _from_reduced(cls, group: FreeGroup, letters: tuple[int, ...]) -> "Word":
-        """Internal fast path; caller guarantees letters are reduced."""
+    def _from_reduced(cls, group: FreeGroup, packed: bytes) -> "Word":
+        """Internal fast path; caller guarantees the packed letters are reduced."""
         w = object.__new__(cls)
         object.__setattr__(w, "group", group)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "packed", packed)
         return w
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -332,8 +359,18 @@ class Word:
     def __reduce__(self):  # else pickle and copy set slots through __setattr__
         return Word, (self.group, self.letters)
 
+    @property
+    def view(self) -> memoryview:
+        """The letters as a signed memoryview of the packed bytes."""
+        return memoryview(self.packed).cast(self.group.code)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The letters as a tuple of signed codes, decoded on each read."""
+        return _struct(f"{len(self)}{self.group.code}").unpack(self.packed)
+
     def _require_same_group(self, other: "Word") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError(
                 f"genus mismatch: {self.group!r} vs {other.group!r}"
             )
@@ -342,18 +379,13 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         self._require_same_group(other)
-        a, b = self.letters, other.letters
-        i, j = len(a), 0
+        a, b, group = self.packed, other.packed, self.group
         # only the seam can cancel, both factors being reduced
-        while i > 0 and j < len(b) and a[i - 1] == -b[j]:
-            i -= 1
-            j += 1
-        return Word._from_reduced(self.group, a[:i] + b[j:])
+        j = _cancelled(a, b, group)
+        return Word._from_reduced(group, a[:len(a) - j] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word._from_reduced(
-            self.group, tuple(-c for c in reversed(self.letters))
-        )
+        return Word._from_reduced(self.group, _packed_inverse(self.packed, self.group))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -368,7 +400,7 @@ class Word:
         if n < 0:
             core, n = core.inverse(), -n
         return Word._from_reduced(
-            self.group, prefix.letters + core.letters * n + prefix.inverse().letters
+            self.group, prefix.packed + core.packed * n + prefix.inverse().packed
         )
 
     def conjugated_by(self, u: "Word") -> "Word":
@@ -376,26 +408,26 @@ class Word:
         return u * self * u.inverse()
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.packed
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.packed) // self.group.width
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
+        return iter(self.view)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
             and other.group == self.group
-            and other.letters == self.letters
+            and other.packed == self.packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, self.letters))
+        return hash((self.group, self.packed))
 
     def __str__(self) -> str:
-        return " ".join(map(self.group.alphabet.tokens.__getitem__, self.letters)) or "1"
+        return " ".join(map(self.group.alphabet.tokens.__getitem__, self.view)) or "1"
 
     def __repr__(self) -> str:
         return f"<Word {self} in {self.group!r}>"
@@ -405,26 +437,22 @@ class Word:
 
         Returns (core, prefix) with self == prefix * core * prefix^-1 and
         core cyclically reduced (its first letter is not the inverse of
-        its last).
+        its last).  The prefix is the head of the word whose inverse is its
+        tail; in a reduced word that is less than half of it.
 
         >>> F = FreeGroup(2)
         >>> core, prefix = F.word("B1 A2 b1").cyclic_reduce()
         >>> str(core), str(prefix)
         ('A2', 'B1')
         """
-        letters = self.letters
-        i, j = 0, len(letters)
-        while j - i >= 2 and letters[i] == -letters[j - 1]:
-            i += 1
-            j -= 1
-        core = Word._from_reduced(self.group, letters[i:j])
-        prefix = Word._from_reduced(self.group, letters[:i])
-        return core, prefix
+        packed, group = self.packed, self.group
+        i = _cancelled(packed, packed, group)
+        core = Word._from_reduced(group, packed[i:len(packed) - i])
+        return core, Word._from_reduced(group, packed[:i])
 
 
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
-    x._require_same_group(y)
     return x * y * x.inverse() * y.inverse()
 
 
@@ -434,7 +462,8 @@ def conjugator(w1: Word, w2: Word) -> Optional[Word]:
     Two reduced words are conjugate exactly when their cyclically reduced
     cores are rotations of one another.  Writing w1 = p1 c1 p1^-1,
     w2 = p2 c2 p2^-1 and c1 = x^-1 c2 x for a prefix x of c2 gives
-    u = p1 x^-1 p2^-1.
+    u = p1 x^-1 p2^-1.  The rotation is found by one byte search for c1
+    in c2 c2, skipping hits that do not start on a letter.
 
     >>> F = FreeGroup(2)
     >>> str(conjugator(F.word("B1") * F.zeta() * F.word("b1"), F.zeta()))
@@ -445,17 +474,17 @@ def conjugator(w1: Word, w2: Word) -> Optional[Word]:
     w1._require_same_group(w2)
     c1, p1 = w1.cyclic_reduce()
     c2, p2 = w2.cyclic_reduce()
-    n = len(c1)
-    if n != len(c2):
+    t1, t2 = c1.packed, c2.packed
+    if len(t1) != len(t2):
         return None
-    if n == 0:
-        return w1.group.identity()
-    t1, t2 = c1.letters, c2.letters
-    for r in range(n):
-        if t2[r:] + t2[:r] == t1:
-            x = Word._from_reduced(w1.group, t2[:r])
-            return p1 * x.inverse() * p2.inverse()
-    return None
+    doubled = t2 + t2
+    r = doubled.find(t1)
+    while r > 0 and r % w1.group.width:
+        r = doubled.find(t1, r + 1)
+    if r < 0:
+        return None
+    x = Word._from_reduced(w1.group, t2[:r])
+    return p1 * x.inverse() * p2.inverse()
 
 
 def random_word(group: FreeGroup, length: int, rng) -> Word:
@@ -473,7 +502,7 @@ def random_word(group: FreeGroup, length: int, rng) -> Word:
             if not letters or letters[-1] != -c:
                 letters.append(c)
                 break
-    return Word._from_reduced(group, tuple(letters))
+    return Word(group, letters)
 
 
 if __name__ == "__main__":

@@ -39,26 +39,12 @@ def abelianize(w: Word) -> Vector:
     inversion to negation.
     """
     counts = [0] * w.group.rank
-    for c in w.letters:
+    for c in w.view:
         if c > 0:
             counts[c - 1] += 1
         else:
             counts[-c - 1] -= 1
     return tuple(counts)
-
-
-def symplectic_form(genus: int) -> Matrix:
-    """The block matrix J with upper-right +I and lower-left -I."""
-    n = 2 * genus
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < genus:
-            row[genus + i] = 1
-        else:
-            row[i - genus] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def intersection(x: Vector, y: Vector) -> int:
@@ -105,24 +91,10 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("shape mismatch")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     if len(m[0]) != len(v):
         raise ValueError("shape mismatch")
     return tuple(sum(map(mul, row, v)) for row in m)
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
 
 
 def is_symplectic(m: Matrix) -> bool:

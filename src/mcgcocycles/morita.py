@@ -55,31 +55,6 @@ TwoGenWord = tuple[int, ...]
 Syllables = tuple[tuple[int, int], ...]
 
 
-def project(w: Word, i: int) -> TwoGenWord:
-    """Kill every generator except the i-th handle pair, then reduce.
-
-    The result uses +-1 for alpha = A_i and +-2 for beta = B_i.
-    """
-    g = w.group.genus
-    if not 1 <= i <= g:
-        raise ValueError(f"handle index {i} out of range 1..{g}")
-    a_code, b_code = i, g + i
-    out: list[int] = []
-    for c in w.letters:
-        mag = abs(c)
-        if mag == a_code:
-            t = ALPHA if c > 0 else -ALPHA
-        elif mag == b_code:
-            t = BETA if c > 0 else -BETA
-        else:
-            continue
-        if out and out[-1] == -t:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)
-
-
 def syllables(x: TwoGenWord) -> Syllables:
     """Greedy left-to-right split into alpha^eps beta^delta blocks.
 
@@ -119,8 +94,9 @@ def d(w: Word) -> int:
     """Sum of the turning function over all handle projections.
 
     Satisfies d(x y) = d(x) + d(y) + [x].[y] on the full surface group,
-    and d of every generator is 0; the result equals
-    ``sum(d_two_gen(project(w, i)) for i in 1..g)``; see ``d_and_class``.
+    and d of every generator is 0; the result equals the sum of
+    ``d_two_gen`` over the g reduced handle projections of w (the tests
+    keep that route in ``word_oracle.project``); see ``d_and_class``.
     """
     return d_and_class(w)[0]
 
@@ -142,7 +118,7 @@ def d_and_class(w: Word) -> tuple[int, Vector]:
     alpha = [0] * (g + 1)
     beta = [0] * (g + 1)
     s = 0
-    for c in w.letters:
+    for c in w.view:
         if c > g:
             s += alpha[c - g]
             beta[c - g] += 1

@@ -208,7 +208,7 @@ def text_round_trip(s: Sample) -> bool:
 
 def cyclic_reduction_contract(s: Sample) -> bool:
     core, prefix = s.x.cyclic_reduce()
-    reduced = len(core) < 2 or core.letters[0] != -core.letters[-1]
+    reduced = len(core) < 2 or core.view[0] != -core.view[-1]
     return prefix * core * prefix.inverse() == s.x and reduced
 
 

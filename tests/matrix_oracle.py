@@ -3,10 +3,40 @@
 The package inverts rho(phi) by the symplectic closed form -J m^T J.
 This module inverts any matrix of determinant +-1 by an independent
 route (Bareiss determinants and the cofactor matrix, O(n^5)), so the
-tests can check the closed form against it.
+tests can check the closed form against it.  It also holds the plain
+matrix product, transpose and form J that the tests build identities
+from; the package itself needs none of them.
 """
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def symplectic_form(genus: int) -> Matrix:
+    """The block matrix J with upper-right +I and lower-left -I."""
+    n = 2 * genus
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i < genus:
+            row[genus + i] = 1
+        else:
+            row[i - genus] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n, k, m = len(a), len(b), len(b[0])
+    if len(a[0]) != k:
+        raise ValueError("shape mismatch")
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    )
+
+
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m))
 
 
 def det(m: Matrix) -> int:

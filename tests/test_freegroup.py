@@ -211,3 +211,28 @@ def test_pickle_and_copy_round_trip():
     # a word that refers to the group of another word keeps that group on a round trip
     pair = pickle.loads(pickle.dumps((F.a(1), F.b(2))))
     assert pair == (F.a(1), F.b(2)) and pair[0] * pair[1] == F.word("A1 B2")
+
+
+def test_conjugator_is_linear_in_the_core_length():
+    rng = random.Random(16)
+    F = FreeGroup(3)
+    letters = random_word(F, 16_000, rng).letters
+    while letters[-1] == -letters[0]:  # keep the word cyclically reduced
+        letters = random_word(F, 16_000, rng).letters
+    w, rotated = F.from_letters(letters), F.from_letters(letters[1:] + letters[:1])
+    changed = F.from_letters(letters[:-1] + (letters[0],))
+    start = time.perf_counter()
+    u = conjugator(rotated, w)
+    miss = conjugator(w, changed)
+    assert time.perf_counter() - start < 0.25  # the rotation-by-rotation search took seconds
+    assert u == F.from_letters((-letters[0],)) and rotated == w.conjugated_by(u)
+    assert miss is None
+
+
+def test_conjugator_skips_a_byte_match_that_splits_a_letter():
+    # two-byte letters: the bytes of (257, 256) occur at offset 1 of the doubled
+    # core of (257, 1), which is no rotation of it
+    F = FreeGroup(130)
+    assert F.width == 2
+    assert conjugator(F.from_letters((257, 256)), F.from_letters((257, 1))) is None
+    assert conjugator(F.from_letters((1, 257)), F.from_letters((257, 1))) == F.from_letters((-257,))

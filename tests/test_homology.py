@@ -13,17 +13,14 @@ from mcgcocycles import (
     intersection,
     is_symplectic,
     jablow,
-    mat_mul,
     mat_vec,
     random_element,
     random_word,
-    symplectic_form,
     symplectic_inverse,
-    transpose,
     twist_catalog,
 )
 
-from matrix_oracle import adjugate, det, invert_unimodular
+from matrix_oracle import adjugate, det, invert_unimodular, mat_mul, symplectic_form, transpose
 
 
 def test_abelianize_examples():

@@ -17,12 +17,12 @@ from mcgcocycles import (
     intersection,
     jablow,
     morita_f,
-    project,
     random_word,
     syllables,
     twist_catalog,
 )
 from mcgcocycles.endomorphism import Endo
+from word_oracle import project
 from mcgcocycles import verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 

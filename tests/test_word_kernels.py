@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import word_oracle
+from word_oracle import project
 from sample_elements import twist_chain
 from mcgcocycles import (
     Auto,
@@ -26,7 +27,6 @@ from mcgcocycles import (
     in_N,
     inner,
     jablow,
-    project,
     random_element,
     random_word,
     twist_catalog,

@@ -6,9 +6,13 @@ seam.  This module keeps the routes those kernels replaced: every token
 through the regular grammar and ``FreeGroup.letter_code``, and every
 image letter pushed onto one reduction stack.  Both return plain letter
 tuples, reduced here, so the tests can compare them with the package.
+``project`` keeps the per-handle route to ``morita.d``: one reduced
+projection per handle, for ``morita.d_two_gen``.
 """
 
 import re
+
+from mcgcocycles.morita import ALPHA, BETA
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 
@@ -50,4 +54,29 @@ def substitute(phi, w) -> tuple[int, ...]:
                 out.pop()
             else:
                 out.append(t)
+    return tuple(out)
+
+
+def project(w, i: int) -> tuple[int, ...]:
+    """Kill every generator except the i-th handle pair, then reduce.
+
+    The result uses +-1 for alpha = A_i and +-2 for beta = B_i.
+    """
+    g = w.group.genus
+    if not 1 <= i <= g:
+        raise ValueError(f"handle index {i} out of range 1..{g}")
+    a_code, b_code = i, g + i
+    out: list[int] = []
+    for c in w.letters:
+        mag = abs(c)
+        if mag == a_code:
+            t = ALPHA if c > 0 else -ALPHA
+        elif mag == b_code:
+            t = BETA if c > 0 else -BETA
+        else:
+            continue
+        if out and out[-1] == -t:
+            out.pop()
+        else:
+            out.append(t)
     return tuple(out)

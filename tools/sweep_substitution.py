@@ -1,4 +1,4 @@
-"""Per-letter cost of phi(zeta) and of parsing word text, over genus and length.
+"""Per-letter cost of phi(zeta), of parsing word text and of word kernels, over genus and length.
 
     python3 tools/sweep_substitution.py [--out sweep.json] [--repeats 20]
 
@@ -17,8 +17,17 @@ The second table, ``parse_rows``, times ``FreeGroup.word`` on the text
 ``str(w)`` of a fixed-seed random reduced word w of ``letters`` letters,
 over ``PARSE_GENERA``: ``ns`` is the best time per letter.  Up to genus
 9 that text is decoded whole; from genus 10 it goes token by token, so
-those rows show the token route.  Each time is the least of
-``--repeats`` runs.  The whole sweep takes a few seconds.
+those rows show the token route.
+
+The third table, ``word_rows``, times the kernels of ``Word`` over
+``GENERA`` on a fixed-seed random reduced word x of ``letters`` letters,
+each as the best time per letter of x: ``mul_ns`` of x * y, where y
+starts with the inverse of the second half of x, so about half of x
+cancels at the seam; ``inverse_ns``; ``cyclic_reduce_ns``; ``conjugator_ns`` of the
+core of x against its rotation by one letter; ``letters_ns`` of decoding
+``x.letters`` from the packed bytes.  Genus 64 and above packs two bytes
+per letter.  Each time is the least of ``--repeats`` runs.  The whole
+sweep takes a few seconds.
 """
 
 from __future__ import annotations
@@ -33,7 +42,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mcgcocycles import Auto, Endo, FreeGroup, compose, identity_auto, inner, random_word  # noqa: E402
+from mcgcocycles import (  # noqa: E402
+    Auto, Endo, FreeGroup, compose, conjugator, identity_auto, inner, random_word,
+)
 
 GENERA = (2, 5, 12, 64, 200)
 PARSE_GENERA = (2, 5, 9, 12, 64)
@@ -98,6 +109,28 @@ def sweep_parse(repeats: int) -> list[dict]:
     return rows
 
 
+def sweep_words(repeats: int) -> list[dict]:
+    rows = []
+    for g in GENERA:
+        group = FreeGroup(g)
+        for length in LENGTHS:
+            rng = random.Random(SEED)
+            x = random_word(group, length, rng)
+            half = group.from_letters(x.letters[length // 2:]).inverse()
+            y = half * random_word(group, length - length // 2, rng)
+            c1 = x.cyclic_reduce()[0]
+            c2 = group.from_letters(c1.letters[1:] + c1.letters[:1])
+            row = {"genus": g, "letters": length}
+            for name, call in (("mul_ns", lambda: x * y), ("inverse_ns", x.inverse),
+                               ("cyclic_reduce_ns", x.cyclic_reduce),
+                               ("conjugator_ns", lambda: conjugator(c1, c2)),
+                               ("letters_ns", lambda: x.letters)):
+                row[name] = round(best_ns(call, length, repeats), 2)
+            rows.append(row)
+            print(json.dumps(rows[-1]), file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=None, help="write the result here as well")
@@ -110,6 +143,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "rows": sweep(args.repeats),
         "parse_rows": sweep_parse(args.repeats),
+        "word_rows": sweep_words(args.repeats),
     }
     text = json.dumps(result, indent=1)
     if args.out:
