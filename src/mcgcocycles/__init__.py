@@ -13,7 +13,6 @@ from .homology import (
     Vector,
     abelianize,
     dual,
-    identity_matrix,
     induced_matrix,
     intersection,
     is_symplectic,
@@ -64,7 +63,6 @@ __all__ = [
     "Vector",
     "abelianize",
     "dual",
-    "identity_matrix",
     "induced_matrix",
     "intersection",
     "is_symplectic",

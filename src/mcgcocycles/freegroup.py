@@ -269,11 +269,8 @@ class FreeGroup:
         return Word(self, ())
 
     def from_letters(self, letters: Iterable[int]) -> "Word":
-        """Build a word from signed letter codes; reduces."""
-        codes = tuple(letters)
-        for c in codes:
-            self.alphabet.tokens[c]  # raises for 0 and out-of-range codes
-        return Word(self, codes)
+        """Build a word from signed letter codes; validates and reduces."""
+        return Word(self, letters)
 
     def generator(self, kind: str, index: int) -> "Word":
         return Word(self, (self.letter_code(kind, index),))
@@ -327,12 +324,21 @@ class FreeGroup:
 
 
 class Word:
-    """A freely reduced word, immutable and hashable; ``packed`` holds its letters."""
+    """A freely reduced word, immutable and hashable; ``packed`` holds its letters.
+
+    The constructor takes signed letter codes, rejects with ValueError a
+    code that is 0, outside +-2g or no integer, and reduces.
+    """
 
     __slots__ = ("group", "packed")
 
     def __init__(self, group: FreeGroup, letters: Iterable[int] = ()):
         codes = tuple(letters)
+        rank = group.rank
+        # one range test at C speed; the slow walk only names the bad code
+        if codes and (min(codes) < -rank or max(codes) > rank or 0 in codes):
+            bad = next(c for c in codes if not 0 < abs(c) <= rank)
+            raise ValueError(f"letter code {bad} out of range for genus {group.genus}")
         # no two neighbours summing to 0, a test at C speed, means reduced
         if 0 in map(add, codes, codes[1:]):
             out: list[int] = []
@@ -342,8 +348,12 @@ class Word:
                 else:
                     out.append(c)
             codes = out
+        try:
+            packed = _struct(f"{len(codes)}{group.code}").pack(*codes)
+        except struct.error:  # a code in range that is no integer, such as 1.5
+            raise ValueError("letter codes must be integers") from None
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "packed", _struct(f"{len(codes)}{group.code}").pack(*codes))
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
     def _from_reduced(cls, group: FreeGroup, packed: bytes) -> "Word":

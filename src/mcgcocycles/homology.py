@@ -77,18 +77,10 @@ def induced_matrix(phi) -> Matrix:
     the assignment is functorial: composing endomorphisms multiplies
     matrices in the same order.
     """
-    cols = [abelianize(im) for im in phi.images]
-    n = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*map(abelianize, phi.images)))
 
 
 # -- generic exact matrix helpers -----------------------------------------
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

@@ -26,7 +26,6 @@ from .freegroup import FreeGroup, Word, conjugator, random_word
 from .homology import abelianize, induced_matrix, intersection, mat_vec
 from .endomorphism import (
     Auto,
-    _descending_b,
     compose,
     in_M_g1,
     in_N,
@@ -98,7 +97,12 @@ class Sample:
     @cached_property
     def composite(self) -> Auto:
         """inner(B_g..B_1)^-1 composed with the involution."""
-        return compose(inner(_descending_b(self.group, 1).inverse()), self.io)
+        return compose(inner(_descending_bs(self.group).inverse()), self.io)
+
+
+def _descending_bs(group: FreeGroup) -> Word:
+    """B_g B_(g-1) ... B_1, the involution's witness."""
+    return Word(group, range(group.rank, group.genus, -1))
 
 
 def sampler(elements: int = 0, **words: int) -> Callable[[FreeGroup, random.Random], Sample]:
@@ -329,7 +333,7 @@ def involution_negates_homology(s: Sample) -> Any:
 def boundary_witness(s: Sample) -> bool:
     """The witness of the involution is B_g..B_1 up to a power of zeta."""
     u = in_N(s.io).conjugator
-    return zeta_power_exponent(_descending_b(s.group, 1).inverse() * u) is not None
+    return zeta_power_exponent(_descending_bs(s.group).inverse() * u) is not None
 
 
 def f_tilde_on_involution(s: Sample) -> Any:

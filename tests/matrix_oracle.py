@@ -4,8 +4,8 @@ The package inverts rho(phi) by the symplectic closed form -J m^T J.
 This module inverts any matrix of determinant +-1 by an independent
 route (Bareiss determinants and the cofactor matrix, O(n^5)), so the
 tests can check the closed form against it.  It also holds the plain
-matrix product, transpose and form J that the tests build identities
-from; the package itself needs none of them.
+identity, matrix product, transpose and form J that the tests build
+identities from; the package itself needs none of them.
 """
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -23,6 +23,12 @@ def symplectic_form(genus: int) -> Matrix:
             row[i - genus] = -1
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

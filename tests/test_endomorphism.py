@@ -1,8 +1,11 @@
 import json
 import random
+import time
 
 import pytest
 
+import word_oracle
+from matrix_oracle import identity_matrix
 from mcgcocycles import (
     Auto,
     Endo,
@@ -13,7 +16,9 @@ from mcgcocycles import (
     identity_auto,
     in_M_g1,
     in_N,
+    induced_matrix,
     inner,
+    is_symplectic,
     jablow,
     load_automorphism,
     random_element,
@@ -209,6 +214,39 @@ def test_twist_catalog_shape_and_certificates():
         # the advertised images
         assert catalog[0](F.a(1)) == F.a(1) * F.b(1)
         assert catalog[g](F.b(1)) == F.b(1) * F.a(1)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 64])
+def test_closed_forms_pass_the_certificates(g):
+    """jablow and the catalog are built unchecked; here they earn the checks."""
+    F = FreeGroup(g)
+    io = jablow(F)
+    Auto(F, io.images, io.backward.images)  # raises unless mutually inverse
+    assert in_N(io) is not None
+    assert is_symplectic(induced_matrix(io))
+    eye = identity_matrix(F.rank)
+    for t in twist_catalog(F):
+        Auto(F, t.images, t.backward.images)
+        assert in_M_g1(t)
+        m = induced_matrix(t)
+        assert is_symplectic(m) and m != eye
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7, 8, 9, 64])
+def test_jablow_matches_the_formula_written_out(g):
+    F = FreeGroup(g)
+    io = jablow(F)
+    want = word_oracle.jablow_images(F)
+    assert [w.letters for w in io.images] == want
+    assert [w.letters for w in io.backward.images] == want
+
+
+def test_construction_is_fast_at_genus_100():
+    F = FreeGroup(100)
+    start = time.perf_counter()
+    jablow.__wrapped__(F)
+    twist_catalog.__wrapped__(F)
+    assert time.perf_counter() - start < 0.5  # self-certifying construction took seconds
 
 
 def test_random_element_is_deterministic_and_in_n():

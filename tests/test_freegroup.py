@@ -42,6 +42,22 @@ def test_reduction_is_a_constructor_invariant():
     assert Word(F, (1, -1)).is_identity()
 
 
+@pytest.mark.parametrize("g, letters, bad", [
+    (2, (0,), 0), (2, (100,), 100), (2, (200,), 200), (2, (1, -5), -5),
+    (64, (3, 129, -300), 129),
+])
+def test_word_rejects_codes_out_of_range(g, letters, bad):
+    F = FreeGroup(g)
+    message = rf"^letter code {bad} out of range for genus {g}$"
+    with pytest.raises(ValueError, match=message):
+        Word(F, letters)
+    with pytest.raises(ValueError, match=message):
+        F.from_letters(letters)
+    with pytest.raises(ValueError, match="^letter codes must be integers$"):
+        Word(F, (1, 1.5))
+    assert Word(F, (F.rank, -F.rank, 1)).letters == (1,)
+
+
 def test_multiply_cancels_only_the_seam():
     F = FreeGroup(2)
     x = F.word("A1 B1")

@@ -61,6 +61,10 @@ def golden_outputs() -> dict[str, str]:
     argv = ["verify", "all", "--g", "2..3", "--samples", "8", "--seed", "7",
             "--format", "structured"]
     runs[" ".join(argv)] = _stdout(argv)
+    # two-byte letters, and the closed-form elements at a large genus
+    for argv in (["verify", "all", "--g", "64", "--samples", "2", "--format", "structured"],
+                 ["eval", "--in", "builtin:iota", "--g", "64", "--format", "structured"]):
+        runs[" ".join(argv)] = _stdout(argv)
     return runs
 
 

@@ -7,7 +7,6 @@ from mcgcocycles import (
     abelianize,
     compose,
     dual,
-    identity_matrix,
     induced_matrix,
     inner,
     intersection,
@@ -20,7 +19,15 @@ from mcgcocycles import (
     twist_catalog,
 )
 
-from matrix_oracle import adjugate, det, invert_unimodular, mat_mul, symplectic_form, transpose
+from matrix_oracle import (
+    adjugate,
+    det,
+    identity_matrix,
+    invert_unimodular,
+    mat_mul,
+    symplectic_form,
+    transpose,
+)
 
 
 def test_abelianize_examples():

@@ -7,7 +7,8 @@ through the regular grammar and ``FreeGroup.letter_code``, and every
 image letter pushed onto one reduction stack.  Both return plain letter
 tuples, reduced here, so the tests can compare them with the package.
 ``project`` keeps the per-handle route to ``morita.d``: one reduced
-projection per handle, for ``morita.d_two_gen``.
+projection per handle, for ``morita.d_two_gen``.  ``jablow_images``
+writes out the involution's formula factor by factor.
 """
 
 import re
@@ -55,6 +56,37 @@ def substitute(phi, w) -> tuple[int, ...]:
             else:
                 out.append(t)
     return tuple(out)
+
+
+def jablow_images(group) -> list[tuple[int, ...]]:
+    """The images of ``jablow``, letter by letter from its docstring's formula.
+
+    With P_k = B_g ... B_k and E_k = [P_k A_k, B_k] B_k, A_k goes to
+    E_k ... E_g A_k^-1 B_k^-1 ... B_g^-1 and B_k to [P_k A_k, B_k^-1] B_k^-1.
+    Every factor is written out again for every image that uses it, and
+    each image is reduced once, at the end.
+    """
+    g = group.genus
+
+    def inv(w):
+        return [-c for c in reversed(w)]
+
+    def comm(x, y):
+        return x + y + inv(x) + inv(y)
+
+    def p_a(k):  # P_k A_k
+        return [g + ell for ell in range(g, k - 1, -1)] + [k]
+
+    def e(ell):
+        return comm(p_a(ell), [g + ell]) + [g + ell]
+
+    images_a = [
+        _reduce([c for ell in range(k, g + 1) for c in e(ell)]
+                + [-k] + [-(g + ell) for ell in range(k, g + 1)])
+        for k in range(1, g + 1)
+    ]
+    images_b = [_reduce(comm(p_a(k), [-(g + k)]) + [-(g + k)]) for k in range(1, g + 1)]
+    return images_a + images_b
 
 
 def project(w, i: int) -> tuple[int, ...]:
