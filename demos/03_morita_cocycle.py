@@ -4,13 +4,10 @@ Run:  python demos/03_morita_cocycle.py
 """
 
 from mcgcocycles import (
-    ALPHA,
-    BETA,
     FreeGroup,
     abelianize,
     compose,
     d,
-    d_two_gen,
     f_tilde,
     in_N,
     induced_matrix,
@@ -21,18 +18,14 @@ from mcgcocycles import (
     morita_f,
     random_element,
     random_word,
-    syllables,
 )
 
-A, B = ALPHA, BETA
-
 print("Stage 1: the turning function d on one handle.")
-word = (B, A, B, -A, -B, -A, -B)
-print(f"  beta alpha beta alpha^-1 beta^-1 alpha^-1 beta^-1")
-print(f"  syllables (eps, delta): {syllables(word)}")
-print(f"  d = {d_two_gen(word)}")
-print(f"  two more reference words: "
-      f"{d_two_gen((B, A, B, -A, -B, -B))}, {d_two_gen((B, A, -B, -A, -B))}")
+H = FreeGroup(2)
+print(f"  d(A1 B1) = {d(H.word('A1 B1'))}, the normalization")
+print("  the words the involution's images project to on a handle:")
+for text in ("B1 A1 B1 a1 b1 a1 b1", "B1 A1 B1 a1 b1 b1", "B1 A1 b1 a1 b1"):
+    print(f"  d({text}) = {d(H.word(text))}")
 
 F = FreeGroup(3)
 import random

@@ -39,16 +39,7 @@ from .endomorphism import (
     twist_catalog,
     zeta_power_exponent,
 )
-from .morita import (
-    ALPHA,
-    BETA,
-    d,
-    d_two_gen,
-    f_tilde,
-    f_tilde_at,
-    morita_f,
-    syllables,
-)
+from .morita import d, f_tilde, f_tilde_at, morita_f
 from .earle import QVector, a0, coboundary_a0, earle_psi, over_canonical_denominator
 
 __version__ = "0.1.0"
@@ -86,14 +77,10 @@ __all__ = [
     "to_mapping",
     "twist_catalog",
     "zeta_power_exponent",
-    "ALPHA",
-    "BETA",
     "d",
-    "d_two_gen",
     "f_tilde",
     "f_tilde_at",
     "morita_f",
-    "syllables",
     "QVector",
     "a0",
     "coboundary_a0",

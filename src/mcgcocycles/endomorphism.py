@@ -24,8 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
-from .freegroup import FreeGroup, Word, commutator, conjugator, random_word
-from .freegroup import _letter_format, _packed_inverse
+from .freegroup import FreeGroup, Substitution, Word, commutator, conjugator, random_word
 from .homology import Matrix, Vector, abelianize, dual, mat_vec, symplectic_inverse
 
 
@@ -46,16 +45,12 @@ class Endo:
     ``images`` lists the images of A_1..A_g, B_1..B_g in that order.
     Instances are immutable in spirit; the only mutations are internal
     caches of the membership record (see ``in_N``) and of the
-    substitution table, which are derived data.
+    substitution kernel, which are derived data.
 
-    The substitution table holds every generator's image and inverse
-    image as packed bytes: the images' own ``Word.packed`` and their
-    inverses in that format.  Applying the map appends the packed images
-    to a ``bytearray`` and cancels at each seam at C speed:
-    the letters that cancel are the equal trailing letters of the output
-    and of the inverse image, and their count is the lowest set bit of the
-    XOR of the output's tail and the inverse image, read as integers,
-    divided by the bits of a letter.
+    Applying the map to a word of more than one letter runs
+    ``freegroup.Substitution``, built from the images on the first such
+    call and kept: it holds every image and inverse image as packed
+    bytes and cancels at each seam at C speed.
     """
 
     __slots__ = ("group", "images", "_member", "_table")
@@ -72,47 +67,12 @@ class Endo:
         self.group = group
         self.images = imgs
         self._member: object = None  # None unknown, False no, else the NWitness
-        self._table: Optional[tuple] = None  # built by the first call
-
-    def _substitution_table(self) -> tuple:
-        """(width, packed images, seam ends, inverse values), built once.
-
-        Entry c of the packed images is the image of letter c, one
-        machine integer per letter; a negative code indexes from the end
-        of the list, where the inverse image of its generator is stored.
-        Entry c of the seam ends is the last letter of the inverse of
-        image c, so an output cancels against image c exactly when it ends
-        with it; for an empty image it is a zero letter, which no output
-        ends with.  Entry c of the inverse values is that inverse image
-        read as one big-endian integer.
-        """
-        rank = self.group.rank
-        width = _letter_format(rank)[0]
-        packed: list = [b""] * (2 * rank + 1)
-        ends: list = [bytes(width)] * (2 * rank + 1)
-        inverses: list = [0] * (2 * rank + 1)
-        for c, im in enumerate(self.images, start=1):
-            image = im.packed
-            if image:
-                inverse = _packed_inverse(image, self.group)
-                packed[c], packed[-c] = image, inverse
-                ends[c], ends[-c] = inverse[-width:], image[-width:]
-                inverses[c] = int.from_bytes(inverse, "big")
-                inverses[-c] = int.from_bytes(image, "big")
-        return width, packed, ends, inverses
+        self._table: Optional[Substitution] = None  # built by the first call
 
     def __call__(self, w: Word) -> Word:
-        """Apply to a word; the result is reduced in one pass.
+        """Apply to a word; the result is reduced in one pass of the kernel.
 
-        The output so far and each image are reduced, so letters can only
-        cancel at the seam between them.  There the output's tail is read
-        as an integer and XORed with the whole inverse image: the equal
-        trailing letters, found at once from the lowest set bit, are
-        dropped and the rest of the image appended.  Where the output is
-        shorter than the image its missing letters read as 0, which no
-        letter is, so the count stops at the output's length.  The bytes
-        become the result's ``packed`` as they are.  A single generator is
-        looked up without the table.
+        A single generator is looked up without the kernel.
         """
         if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
@@ -121,20 +81,8 @@ class Endo:
             return self.images[letters[0] - 1]
         table = self._table
         if table is None:
-            table = self._table = self._substitution_table()
-        width, packed, ends, inverses = table
-        bits = 8 * width
-        out = bytearray()
-        for c in letters:
-            img = packed[c]
-            if out.endswith(ends[c]):
-                x = int.from_bytes(out[-len(img):], "big") ^ inverses[c]
-                # freegroup._cancelled, the inverse image read as an integer once per table
-                j = ((x & -x).bit_length() - 1) // bits * width if x else len(img)
-                out[len(out) - j:] = img[j:]
-            else:
-                out += img
-        return Word._from_reduced(self.group, bytes(out))
+            table = self._table = Substitution(self.group, self.images)
+        return table(letters)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -556,6 +504,6 @@ def load_automorphism(path: str) -> Endo:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep nesting recurses
             raise ValueError(f"not valid automorphism data: {exc}") from exc
     return from_mapping(doc)

@@ -8,7 +8,9 @@ fundamental group free of rank ``2g``, with generators
 
 where ``[x, y] = x y x^-1 y^-1``.  Everything downstream of this module
 (homology, automorphisms, cocycles) works with freely reduced words in
-these generators, so this module owns the word representation.
+these generators, so this module owns the word representation and every
+kernel that reads it, ``Substitution``, the kernel under applying an
+endomorphism, among them.
 
 Letters are encoded as nonzero integers: ``+i`` with ``1 <= i <= g`` is
 ``A_i``, ``+(g+i)`` is ``B_i``, and negation is inversion.  A ``Word``
@@ -92,6 +94,59 @@ def _cancelled(a: bytes, b: bytes, group: "FreeGroup") -> int:
         return 0
     x = int.from_bytes(a[-n:], "big") ^ int.from_bytes(_packed_inverse(b[:n], group), "big")
     return ((x & -x).bit_length() - 1) // (8 * width) * width if x else n
+
+
+class Substitution:
+    """The packed kernel of a map given by 2g generator images: letters in, reduced word out.
+
+    Built once per map.  Entry c of ``packed`` is the image of letter c;
+    a negative code indexes from the end of the list, where the inverse
+    image of its generator is stored.  Entry c of ``ends`` is the last
+    letter of the inverse of image c, so an output cancels against image
+    c exactly when it ends with it; for an empty image it is a zero
+    letter, which no output ends with.  Entry c of ``inverses`` is that
+    inverse image read as one big-endian integer.
+
+    Applying it appends the images to a ``bytearray``.  The output so far
+    and each image are reduced, so letters cancel only at the seam, by
+    the rule of ``_cancelled`` with the inverse image read as an integer
+    once, here: the output's tail XOR the inverse image has its lowest
+    set bit past the equal trailing letters.  Where the output is shorter
+    than the image its missing letters read as 0, which no letter is, so
+    the count stops at the output's length.
+    """
+
+    __slots__ = ("group", "packed", "ends", "inverses")
+
+    def __init__(self, group: "FreeGroup", images: Iterable["Word"]):
+        width, size = group.width, 2 * group.rank + 1
+        packed: list = [b""] * size
+        ends: list = [bytes(width)] * size
+        inverses: list = [0] * size
+        for c, im in enumerate(images, start=1):
+            image = im.packed
+            if image:
+                inverse = _packed_inverse(image, group)
+                packed[c], packed[-c] = image, inverse
+                ends[c], ends[-c] = inverse[-width:], image[-width:]
+                inverses[c] = int.from_bytes(inverse, "big")
+                inverses[-c] = int.from_bytes(image, "big")
+        self.group, self.packed, self.ends, self.inverses = group, packed, ends, inverses
+
+    def __call__(self, letters: memoryview) -> "Word":
+        """The reduced product of the images of ``letters``, signed codes of this group."""
+        packed, ends, inverses, width = self.packed, self.ends, self.inverses, self.group.width
+        bits = 8 * width
+        out = bytearray()
+        for c in letters:
+            img = packed[c]
+            if out.endswith(ends[c]):
+                x = int.from_bytes(out[-len(img):], "big") ^ inverses[c]
+                j = ((x & -x).bit_length() - 1) // bits * width if x else len(img)
+                out[len(out) - j:] = img[j:]
+            else:
+                out += img
+        return Word._from_reduced(self.group, bytes(out))
 
 
 def _byte_table(pairs) -> bytes:
@@ -352,15 +407,15 @@ class Word:
             packed = _struct(f"{len(codes)}{group.code}").pack(*codes)
         except struct.error:  # a code in range that is no integer, such as 1.5
             raise ValueError("letter codes must be integers") from None
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "packed", packed)
+        _set_group(self, group)
+        _set_packed(self, packed)
 
     @classmethod
     def _from_reduced(cls, group: FreeGroup, packed: bytes) -> "Word":
         """Internal fast path; caller guarantees the packed letters are reduced."""
         w = object.__new__(cls)
-        object.__setattr__(w, "group", group)
-        object.__setattr__(w, "packed", packed)
+        _set_group(w, group)
+        _set_packed(w, packed)
         return w
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -459,6 +514,12 @@ class Word:
         i = _cancelled(packed, packed, group)
         core = Word._from_reduced(group, packed[i:len(packed) - i])
         return core, Word._from_reduced(group, packed[:i])
+
+
+# the slots' own setters, which Word.__setattr__ does not reach; they find
+# their slot without the by-name lookup of object.__setattr__
+_set_group = Word.__dict__["group"].__set__
+_set_packed = Word.__dict__["packed"].__set__
 
 
 def commutator(x: Word, y: Word) -> Word:

@@ -48,55 +48,15 @@ from .freegroup import Word
 from .homology import Vector
 from .endomorphism import Endo, require_membership
 
-ALPHA = 1
-BETA = 2
-
-TwoGenWord = tuple[int, ...]
-Syllables = tuple[tuple[int, int], ...]
-
-
-def syllables(x: TwoGenWord) -> Syllables:
-    """Greedy left-to-right split into alpha^eps beta^delta blocks.
-
-    Each step consumes at most one alpha letter and then at most one
-    immediately following beta letter, so every emitted pair carries at
-    least one nonzero entry.
-    """
-    out: list[tuple[int, int]] = []
-    i, n = 0, len(x)
-    while i < n:
-        eps = 0
-        delta = 0
-        if abs(x[i]) == ALPHA:
-            eps = 1 if x[i] > 0 else -1
-            i += 1
-        if i < n and abs(x[i]) == BETA:
-            delta = 1 if x[i] > 0 else -1
-            i += 1
-        out.append((eps, delta))
-    return tuple(out)
-
-
-def d_two_gen(x: TwoGenWord) -> int:
-    """The turning function on one handle; d((1, 2)) == 1."""
-    total = 0
-    suffix_delta = 0
-    suffix_eps = 0
-    for eps, delta in reversed(syllables(x)):
-        suffix_delta += delta
-        total += eps * suffix_delta
-        total -= delta * suffix_eps
-        suffix_eps += eps
-    return total
-
 
 def d(w: Word) -> int:
     """Sum of the turning function over all handle projections.
 
     Satisfies d(x y) = d(x) + d(y) + [x].[y] on the full surface group,
-    and d of every generator is 0; the result equals the sum of
-    ``d_two_gen`` over the g reduced handle projections of w (the tests
-    keep that route in ``word_oracle.project``); see ``d_and_class``.
+    and d of every generator is 0; computed by one walk, ``d_and_class``.
+    The tests compare it with the syllable formula of Stage 1,
+    ``tests/word_oracle.d_two_gen``, summed over the g reduced handle
+    projections of w (``word_oracle.project``), as the reference.
     """
     return d_and_class(w)[0]
 

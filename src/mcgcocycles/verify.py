@@ -35,7 +35,7 @@ from .endomorphism import (
     twist_catalog,
     zeta_power_exponent,
 )
-from .morita import ALPHA, BETA, d, d_two_gen, f_tilde, f_tilde_at, morita_f
+from .morita import d, f_tilde, f_tilde_at, morita_f
 from .earle import a0, coboundary_a0, earle_psi, over_canonical_denominator
 
 
@@ -223,8 +223,9 @@ def conjugator_soundness(s: Sample) -> bool:
 
 
 def turning_values(words: dict) -> Any:
-    """The turning function on each handle word against its stated value."""
-    return _equal(tuple(map(d_two_gen, words)), tuple(words.values()))
+    """``d`` of each word text, read at genus 2, against its stated value."""
+    group = FreeGroup(2)
+    return _equal(tuple(d(group.word(text)) for text in words), tuple(words.values()))
 
 
 def d_product_rule(s: Sample) -> bool:
@@ -308,11 +309,11 @@ def psi_integral(element: str = "comp") -> Check:
 # -- the paper's values (frozen) -----------------------------------------------
 
 # the turning function on the handle words that the involution's images
-# project to
+# project to, written on the first handle
 REFERENCE_TURNING = {
-    (BETA, ALPHA, BETA, -ALPHA, -BETA, -ALPHA, -BETA): 4,
-    (BETA, ALPHA, BETA, -ALPHA, -BETA, -BETA): 2,
-    (BETA, ALPHA, -BETA, -ALPHA, -BETA): -2,
+    "B1 A1 B1 a1 b1 a1 b1": 4,
+    "B1 A1 B1 a1 b1 b1": 2,
+    "B1 A1 b1 a1 b1": -2,
 }
 
 
@@ -393,7 +394,7 @@ SUITES = {
             "inversion rule d(x^-1) = -d(x)": d_inversion_rule,
         }),
         Family(sampler(), {"d vanishes on generators": d_vanishes_on_generators}, _once),
-    ), head=(_TURNING, Family(lambda group, rng: {(ALPHA, BETA): 1}, {
+    ), head=(_TURNING, Family(lambda group, rng: {"A1 B1": 1}, {
         "normalization d(alpha beta) = 1": turning_values,
     }, _once))),
     "cocycle-n": Suite((

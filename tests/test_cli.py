@@ -283,6 +283,14 @@ def test_invalid_cocycle_choice():
     run_cli("eval", "--in", "builtin:iota", "--g", "2", "--cocycle", "bogus", expect=2)
 
 
+def test_eval_of_deeply_nested_json_is_malformed_input(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    proc = run_cli("eval", "--in", str(deep), expect=2)
+    assert proc.stderr.startswith("error: not valid automorphism data: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_eval_key_mismatch_error_is_bounded(tmp_path, capsys):
     small = tmp_path / "small.json"
     images = {"A1": "A1", "A2": "A2", "B1": "B1", "C1": "1"}

@@ -59,6 +59,18 @@ def test_compose_applies_right_factor_first():
         assert compose(p1, p2)(x) == p1(p2(x))
 
 
+def test_compose_with_an_uncertified_factor_is_a_plain_endo():
+    F = FreeGroup(3)
+    twist = twist_catalog(F)[1]
+    plain = compose(Endo(F, jablow(F).images), twist)
+    certified = compose(jablow(F), twist)
+    assert type(plain) is Endo and isinstance(certified, Auto)
+    assert plain.images == certified.images
+    member, want = in_N(plain), in_N(certified)
+    assert (member.conjugator, member.rho, member.f_tilde) == (
+        want.conjugator, want.rho, want.f_tilde)
+
+
 def test_auto_constructor_rejects_non_inverses():
     F = FreeGroup(2)
     gens = F.generators()

@@ -229,6 +229,19 @@ def test_pickle_and_copy_round_trip():
     assert pair == (F.a(1), F.b(2)) and pair[0] * pair[1] == F.word("A1 B2")
 
 
+def test_word_is_immutable():
+    w = FreeGroup(2).word("A1 B2")
+    for name, value in (("packed", b"\x01"), ("group", FreeGroup(3))):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(w, name, value)
+    assert str(w) == "A1 B2" and w.group == FreeGroup(2)
+
+
+def test_genus_too_large_to_pack_is_rejected():
+    with pytest.raises(ValueError, match="too large to pack"):
+        FreeGroup(2**62)
+
+
 def test_conjugator_is_linear_in_the_core_length():
     rng = random.Random(16)
     F = FreeGroup(3)

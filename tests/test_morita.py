@@ -4,25 +4,21 @@ from functools import partial
 import pytest
 
 from mcgcocycles import (
-    ALPHA,
-    BETA,
     FreeGroup,
     MembershipError,
     abelianize,
     compose,
     d,
-    d_two_gen,
     f_tilde,
     inner,
     intersection,
     jablow,
     morita_f,
     random_word,
-    syllables,
     twist_catalog,
 )
 from mcgcocycles.endomorphism import Endo
-from word_oracle import project
+from word_oracle import ALPHA, BETA, d_two_gen, project, syllables
 from mcgcocycles import verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 

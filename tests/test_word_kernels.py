@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import word_oracle
-from word_oracle import project
+from word_oracle import d_two_gen, project
 from sample_elements import twist_chain
 from mcgcocycles import (
     Auto,
@@ -22,7 +22,6 @@ from mcgcocycles import (
     FreeGroup,
     compose,
     d,
-    d_two_gen,
     identity_auto,
     in_N,
     inner,
@@ -147,7 +146,7 @@ def _handle_chain(group, handle: int, min_letters: int, rng):
 def test_apply_matches_oracle_on_long_chains_at_every_width(g):
     rng = random.Random(300 + g)
     F = FreeGroup(g)
-    assert endomorphism._letter_format(F.rank)[0] == (1 if g <= 63 else 2)
+    assert freegroup._letter_format(F.rank)[0] == (1 if g <= 63 else 2)
     zeta, gen_a, gen_b = F.zeta(), F.a(g), F.b(g)
     phi = _handle_chain(F, g, 20_000, rng)
     assert max(map(len, phi.images)) >= 20_000

@@ -6,14 +6,17 @@ seam.  This module keeps the routes those kernels replaced: every token
 through the regular grammar and ``FreeGroup.letter_code``, and every
 image letter pushed onto one reduction stack.  Both return plain letter
 tuples, reduced here, so the tests can compare them with the package.
-``project`` keeps the per-handle route to ``morita.d``: one reduced
-projection per handle, for ``morita.d_two_gen``.  ``jablow_images``
-writes out the involution's formula factor by factor.
+``project`` and ``d_two_gen`` keep the per-handle route to
+``morita.d``: one reduced projection per handle, a tuple of +-ALPHA and
++-BETA, and the syllable formula of the ``morita`` module docstring on
+it.  ``jablow_images`` writes out the involution's formula factor by
+factor.
 """
 
 import re
 
-from mcgcocycles.morita import ALPHA, BETA
+ALPHA = 1
+BETA = 2
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 
@@ -112,3 +115,38 @@ def project(w, i: int) -> tuple[int, ...]:
         else:
             out.append(t)
     return tuple(out)
+
+
+def syllables(x: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Greedy left-to-right split into alpha^eps beta^delta blocks.
+
+    Each step consumes at most one alpha letter and then at most one
+    immediately following beta letter, so every emitted pair carries at
+    least one nonzero entry.
+    """
+    out: list[tuple[int, int]] = []
+    i, n = 0, len(x)
+    while i < n:
+        eps = 0
+        delta = 0
+        if abs(x[i]) == ALPHA:
+            eps = 1 if x[i] > 0 else -1
+            i += 1
+        if i < n and abs(x[i]) == BETA:
+            delta = 1 if x[i] > 0 else -1
+            i += 1
+        out.append((eps, delta))
+    return tuple(out)
+
+
+def d_two_gen(x: tuple[int, ...]) -> int:
+    """The turning function on one handle, by the syllable formula; d((1, 2)) == 1."""
+    total = 0
+    suffix_delta = 0
+    suffix_eps = 0
+    for eps, delta in reversed(syllables(x)):
+        suffix_delta += delta
+        total += eps * suffix_delta
+        total -= delta * suffix_eps
+        suffix_eps += eps
+    return total

@@ -11,7 +11,8 @@ zeta cancel across handles, as they do for a member of N.  ``letters``
 is the number of image letters substituted into phi(zeta), the count
 ``bench/tracing.py`` reports for ``endomorphism.call``.  ``first_ns``
 is the best time per letter of a first call, which builds the
-substitution table; ``repeat_ns`` of a call that finds the table built.
+substitution kernel (``freegroup.Substitution``); ``repeat_ns`` of a
+call that finds the kernel built.
 
 The second table, ``parse_rows``, times ``FreeGroup.word`` on the text
 ``str(w)`` of a fixed-seed random reduced word w of ``letters`` letters,
