@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -434,7 +435,8 @@ _SHOWN_KEYS = 8
 def _some_keys(keys: Iterable, total: int) -> str:
     shown = list(islice(keys, _SHOWN_KEYS))
     more = f" and {total - len(shown)} more" if total > len(shown) else ""
-    return str(shown) + more if shown else "none"
+    # each key as reprlib shortens it, so a long key is not echoed whole
+    return f"[{', '.join(map(reprlib.repr, shown))}]{more}" if shown else "none"
 
 
 def _is_generator_key(codes: dict, key: object) -> bool:
@@ -485,7 +487,7 @@ def from_mapping(doc: object) -> Endo:
         raise ValueError("automorphism document needs 'genus' and 'images'")
     genus = doc["genus"]
     if not isinstance(genus, int):
-        raise ValueError(f"genus must be an integer, got {genus!r}")
+        raise ValueError(f"genus must be an integer, got {reprlib.repr(genus)}")
     group = FreeGroup(genus)
     images = _parse_image_table(group, doc["images"], "images")
     if "inverse_images" in doc:

@@ -45,6 +45,7 @@ only route that raises and words its errors.
 from __future__ import annotations
 
 import re
+import reprlib
 import struct
 import sys
 from functools import cached_property, lru_cache
@@ -194,8 +195,11 @@ class _Alphabet:
     def _code(self, token: str) -> int:
         m = _TOKEN_RE.match(token)
         if m is None:
-            raise ValueError(f"malformed generator token {token!r}")
+            raise ValueError(f"malformed generator token {reprlib.repr(token)}")
         name, index = m.groups()
+        g = self.group.genus
+        if len(index) > len(str(g)):  # too large, and int() refuses over 4300 digits
+            raise ValueError(f"generator index {reprlib.repr(index)[1:-1]} out of range 1..{g}")
         return self.group.letter_code(name.upper(), int(index), 1 if name.isupper() else -1)
 
     def _token(self, code: int) -> str:
@@ -282,7 +286,7 @@ class FreeGroup:
 
     def __init__(self, genus: int):
         if not isinstance(genus, int) or genus < 2:
-            raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
+            raise ValueError(f"genus must be an integer >= 2, got {reprlib.repr(genus)}")
         self.genus = genus
         self.width, self.code = _letter_format(2 * genus)  # of a packed letter
         self.alphabet = _alphabet(self)

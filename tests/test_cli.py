@@ -308,6 +308,37 @@ def test_eval_key_mismatch_error_is_bounded(tmp_path, capsys):
     assert "and 39992 more" in err
 
 
+def _eval_error(tmp_path, capsys, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    return err
+
+
+def test_eval_echoes_a_bounded_part_of_a_bad_value(tmp_path, capsys):
+    images = {"A1": "A1", "A2": "A2", "B1": "B1", "B2": "B2"}
+    err = _eval_error(tmp_path, capsys, {"genus": "x" * 10**6, "images": images})
+    assert err.startswith("error: genus must be an integer, got 'xxx")
+    err = _eval_error(tmp_path, capsys, {"genus": json.loads("[" * 900 + "]" * 900),
+                                         "images": images})
+    assert err.startswith("error: genus must be an integer, got [[")
+    err = _eval_error(tmp_path, capsys, {"genus": 2, "images": {**images, "A1": "Q" * 100_000}})
+    assert err.startswith("error: malformed generator token 'QQQ")
+    err = _eval_error(tmp_path, capsys, {"genus": 2, "images": {**images, "C" * 100_000: "1"}})
+    assert "unexpected ['CCC" in err
+
+
+def test_eval_of_a_generator_index_beyond_int_conversion(tmp_path, capsys):
+    """int() refuses more than 4300 digits; the index is out of range first."""
+    images = {"A1": "A" + "9" * 5000, "A2": "A2", "B1": "B1", "B2": "B2"}
+    err = _eval_error(tmp_path, capsys, {"genus": 2, "images": images})
+    assert re.fullmatch(r"error: generator index 9+\.\.\.9+ out of range 1\.\.2\n", err)
+    with pytest.raises(ValueError, match=r"^generator index 10 out of range 1\.\.9$"):
+        FreeGroup(9).word("b10")
+
+
 def test_eval_key_check_cost_follows_the_document(tmp_path, capsys):
     cases = (
         ({}, "['A1', 'A2', 'A3', 'A4', 'A5', 'A6', 'A7', 'A8'] and 399992 more", "none"),

@@ -2,6 +2,7 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcgcocycles import (
     FreeGroup,
@@ -10,6 +11,7 @@ from mcgcocycles import (
     compose,
     d,
     f_tilde,
+    in_N,
     inner,
     intersection,
     jablow,
@@ -19,7 +21,8 @@ from mcgcocycles import (
 )
 from mcgcocycles.endomorphism import Endo
 from word_oracle import ALPHA, BETA, d_two_gen, project, syllables
-from mcgcocycles import verify
+from sample_elements import twist_chain
+from mcgcocycles import morita, verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 
 A, B = ALPHA, BETA
@@ -114,6 +117,89 @@ def test_d_single_pass_matches_per_handle_projection():
         words += [jablow(F)(gen) for gen in F.generators()]
         for w in words:
             assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
+
+
+# genera with one-byte letters, which the block kernel reads; 63 is the largest
+KERNEL_GENERA = (2, 3, 5, 9, 63)
+
+
+@st.composite
+def _kernel_words(draw):
+    """Reduced words of a one-byte genus, on every handle or on one handle
+    only, of about 0 letters or of about the kernel's threshold, with an
+    offset that covers every length mod 8."""
+    g = draw(st.sampled_from(KERNEL_GENERA))
+    handle = draw(st.one_of(st.none(), st.integers(1, g)))
+    near = draw(st.sampled_from((0, morita._KERNEL_LETTERS * g)))
+    n = max(0, near + draw(st.integers(-40, 40)))
+    return _reduced_word(FreeGroup(g), n, handle, random.Random(draw(st.integers(0, 2**32))))
+
+
+def _reduced_word(F, n, handle, rng):
+    """A random reduced word of n letters, on every handle or on one handle only."""
+    g = F.genus
+    codes = range(1, 2 * g + 1) if handle is None else (handle, g + handle)
+    letters = []
+    while len(letters) < n:
+        c = rng.choice(codes) * rng.choice((1, -1))
+        if not letters or letters[-1] != -c:
+            letters.append(c)
+    return F.from_letters(letters)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_words())
+def test_block_kernel_walk_and_oracle_agree(w):
+    want = morita._walk(w)
+    assert morita._block_sums(w) == want
+    assert morita.d_and_class(w) == want
+    handles = range(1, w.group.genus + 1)
+    assert want == (sum(d_two_gen(project(w, i)) for i in handles), abelianize(w))
+
+
+@pytest.mark.parametrize("g", KERNEL_GENERA)
+def test_d_and_class_takes_the_kernel_from_its_threshold(g, monkeypatch):
+    F, rng = FreeGroup(g), random.Random(g)
+    threshold = morita._KERNEL_LETTERS * g
+    calls = []
+    kernel = morita._block_sums
+    monkeypatch.setattr(morita, "_block_sums", lambda w: calls.append(len(w)) or kernel(w))
+    lengths = range(threshold - 8, threshold + 8)  # every length mod 8, on both sides
+    for n in lengths:
+        for handle in (None, n % g + 1):
+            w = _reduced_word(F, n, handle, rng)
+            assert morita.d_and_class(w) == morita._walk(w) == kernel(w), (n, handle)
+    assert calls == [n for n in lengths if n >= threshold for _ in range(2)]
+
+
+def test_block_kernel_on_a_commutator_of_long_powers():
+    """d([A1^L, B1^L]) = 2 L^2: every 8-block of each quarter has the
+    largest alpha or beta sum, and the running alpha total reaches L."""
+    F, L = FreeGroup(2), 40_000
+    w = F.from_letters([1] * L + [3] * L + [-1] * L + [-3] * L)
+    want = (2 * L * L, (0, 0, 0, 0))
+    assert morita._block_sums(w) == morita._walk(w) == want
+    assert d(w) == 2 * L * L
+
+
+def test_two_byte_letters_take_the_walk(monkeypatch):
+    F = FreeGroup(64)
+    assert F.width == 2
+    w = random_word(F, 4 * morita._KERNEL_LETTERS * F.genus, random.Random(64))
+    monkeypatch.setattr(morita, "_block_sums", None)  # calling it would raise
+    assert morita.d_and_class(w) == morita._walk(w)
+
+
+def test_in_n_record_of_long_images_is_the_walks(monkeypatch):
+    """A long-images-style element: jablow after alternating twists of one handle."""
+    F = FreeGroup(3)
+    phi = twist_chain(F, 2, 10_000)
+    assert max(map(len, phi.images)) >= morita._KERNEL_LETTERS * F.genus
+    kernel = in_N(phi)
+    monkeypatch.setattr(morita, "_KERNEL_LETTERS", float("inf"))
+    walk = in_N(twist_chain(F, 2, 10_000))  # a new element: in_N caches the record
+    assert (kernel.conjugator, kernel.rho, kernel.f_tilde) == (
+        walk.conjugator, walk.rho, walk.f_tilde)
 
 
 def test_d_is_the_intersection_sum_over_letter_pairs():

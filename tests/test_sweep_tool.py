@@ -1,16 +1,23 @@
-"""The substitution sweep tool runs its three sweeps end to end on a small input."""
+"""The substitution sweep tool runs its four sweeps end to end on a small input."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "sweep_substitution.py"
 
 
-def test_sweep_tool_writes_all_three_tables(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def tool():
     spec = importlib.util.spec_from_file_location("sweep_substitution", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_tool_writes_all_four_tables(tool, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool, "GENERA", (2,))
     monkeypatch.setattr(tool, "PARSE_GENERA", (2,))
     monkeypatch.setattr(tool, "LENGTHS", (100,))
@@ -26,3 +33,15 @@ def test_sweep_tool_writes_all_three_tables(tmp_path, monkeypatch, capsys):
     assert (words["genus"], words["letters"]) == (2, 100)
     for name in ("mul_ns", "inverse_ns", "cyclic_reduce_ns", "conjugator_ns", "letters_ns"):
         assert words[name] > 0, name
+    assert [(r["genus"], r["letters"], r["kernel"]) for r in result["d_rows"]] == [(2, 100, False)]
+
+
+def test_d_rows_time_the_kernel_only_on_one_byte_letters(tool, monkeypatch):
+    monkeypatch.setattr(tool, "GENERA", (2, 64))
+    monkeypatch.setattr(tool, "LENGTHS", (100, 600))
+    rows = tool.sweep_d(2)
+    assert [(r["genus"], r["letters"], r["kernel"]) for r in rows] == [
+        (2, 100, False), (2, 600, True), (64, 100, False), (64, 600, False)]
+    for r in rows:
+        assert r["walk_ns"] > 0 and r["d_ns"] > 0
+        assert (r["kernel_ns"] is None) == (r["genus"] == 64)

@@ -1,4 +1,4 @@
-"""Per-letter cost of phi(zeta), of parsing word text and of word kernels, over genus and length.
+"""Per-letter cost of phi(zeta), of parsing word text, of word kernels and of d, over genus and length.
 
     python3 tools/sweep_substitution.py [--out sweep.json] [--repeats 20]
 
@@ -27,8 +27,16 @@ starts with the inverse of the second half of x, so about half of x
 cancels at the seam; ``inverse_ns``; ``cyclic_reduce_ns``; ``conjugator_ns`` of the
 core of x against its rotation by one letter; ``letters_ns`` of decoding
 ``x.letters`` from the packed bytes.  Genus 64 and above packs two bytes
-per letter.  Each time is the least of ``--repeats`` runs.  The whole
-sweep takes a few seconds.
+per letter.
+
+The fourth table, ``d_rows``, times ``morita.d_and_class`` over ``GENERA``
+on a fixed-seed random reduced word of ``letters`` letters, as the best
+time per letter: ``walk_ns`` of the letter walk, ``kernel_ns`` of the
+block sums (null from genus 64, whose two-byte letters only the walk
+reads) and ``d_ns`` of ``d_and_class``, which picks one of the two by
+``morita._KERNEL_LETTERS``; ``kernel`` says which.  Each time is the
+least of ``--repeats`` runs.  The whole
+sweep takes about a minute.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mcgcocycles import (  # noqa: E402
-    Auto, Endo, FreeGroup, compose, conjugator, identity_auto, inner, random_word,
+    Auto, Endo, FreeGroup, compose, conjugator, identity_auto, inner, morita, random_word,
 )
 
 GENERA = (2, 5, 12, 64, 200)
@@ -132,6 +140,24 @@ def sweep_words(repeats: int) -> list[dict]:
     return rows
 
 
+def sweep_d(repeats: int) -> list[dict]:
+    rows = []
+    for g in GENERA:
+        group = FreeGroup(g)
+        for length in LENGTHS:
+            w = random_word(group, length, random.Random(SEED))
+            kernel = morita._block_sums if group.width == 1 else None
+            rows.append({
+                "genus": g, "letters": length,
+                "walk_ns": round(best_ns(lambda: morita._walk(w), length, repeats), 2),
+                "kernel_ns": kernel and round(best_ns(lambda: kernel(w), length, repeats), 2),
+                "d_ns": round(best_ns(lambda: morita.d_and_class(w), length, repeats), 2),
+                "kernel": kernel is not None and length >= morita._KERNEL_LETTERS * g,
+            })
+            print(json.dumps(rows[-1]), file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=None, help="write the result here as well")
@@ -145,6 +171,7 @@ def main(argv=None) -> int:
         "rows": sweep(args.repeats),
         "parse_rows": sweep_parse(args.repeats),
         "word_rows": sweep_words(args.repeats),
+        "d_rows": sweep_d(args.repeats),
     }
     text = json.dumps(result, indent=1)
     if args.out:
