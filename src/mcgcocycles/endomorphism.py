@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
-from .freegroup import FreeGroup, Substitution, Word, commutator, conjugator, random_word
+from .freegroup import (FreeGroup, Substitution, Word, commutator, conjugator, d_and_class,
+                        random_word)
 from .homology import Matrix, Vector, abelianize, dual, mat_vec, symplectic_inverse
 
 
@@ -319,7 +320,6 @@ def in_N(phi: Endo) -> Optional[NWitness]:
     ('B3 B2 B1', (-2, -2, -2, -8, -6, -4))
     """
     if phi._member is None:
-        from .morita import d_and_class  # morita imports this module
         zeta = phi.group.zeta()
         image = phi(zeta)
         u = conjugator(image, zeta)
@@ -333,14 +333,20 @@ def in_N(phi: Endo) -> Optional[NWitness]:
     return phi._member or None
 
 
+# a non-member's error shows this many letters of the image of zeta at most
+_SHOWN_LETTERS = 40
+
+
 def require_membership(phi: Endo) -> NWitness:
     """The record of phi, raising MembershipError for non-members."""
     witness = in_N(phi)
     if witness is None:
         core, _ = phi(phi.group.zeta()).cyclic_reduce()
+        head = phi.group.from_letters(islice(core, _SHOWN_LETTERS))
+        more = " ..." if len(core) > _SHOWN_LETTERS else ""
         raise MembershipError(
-            "endomorphism does not conjugate the boundary word; "
-            f"cyclically reduced image of zeta: {core}",
+            "endomorphism does not conjugate the boundary word; cyclically reduced "
+            f"image of zeta ({len(core)} letters): {head}{more}",
             core,
         )
     return witness

@@ -9,8 +9,9 @@ fundamental group free of rank ``2g``, with generators
 where ``[x, y] = x y x^-1 y^-1``.  Everything downstream of this module
 (homology, automorphisms, cocycles) works with freely reduced words in
 these generators, so this module owns the word representation and every
-kernel that reads it, ``Substitution``, the kernel under applying an
-endomorphism, among them.
+kernel that reads it: ``Substitution``, the kernel under applying an
+endomorphism, and ``d_and_class``, the turning function under the
+cocycles, among them.
 
 Letters are encoded as nonzero integers: ``+i`` with ``1 <= i <= g`` is
 ``A_i``, ``+(g+i)`` is ``B_i``, and negation is inversion.  A ``Word``
@@ -32,6 +33,16 @@ all at C speed.  Any other text, and any text holding a token that the
 table does not know, goes token by token through the code table, the
 only route that raises and words its errors.
 
+Morita's turning function d (:mod:`mcgcocycles.morita`) sums over the
+letter pairs of a word, so it is computed here: ``d_and_class`` gives
+d(w) and the class [w] by two routes that give the same integers.  Short
+words, and words of two-byte letters (genus 64 and above), are walked
+letter by letter.  Long words of one-byte letters are cut, per handle,
+into aligned blocks of 1, 2, 4, 8, ... letters, and the product identity
+d(x y) = d(x) + d(y) + [x].[y], applied at every cut, adds up the
+crossing terms of sibling blocks from their exponent sums, which
+byte-string operations compute many at a time.
+
 >>> F = FreeGroup(2)
 >>> w = F.word("A1 B2 b2 a1 B1")
 >>> str(w)
@@ -49,7 +60,8 @@ import reprlib
 import struct
 import sys
 from functools import cached_property, lru_cache
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
 
@@ -65,7 +77,7 @@ def _letter_format(rank: int) -> tuple[int, str]:
         width = struct.calcsize(code)
         if rank < 1 << (8 * width - 1):
             return width, code
-    raise ValueError(f"rank {rank} is too large to pack")
+    raise ValueError(f"genus {reprlib.repr(rank // 2)} is too large to pack its letters")
 
 
 # struct formats by text, which names the letter count as well as the code
@@ -184,7 +196,8 @@ class _Alphabet:
     """One genus's ``codes`` by token (``"1"`` is 0), ``tokens`` by code, generators and zeta.
 
     The tables hold only the keys asked for, at most 4g + 1 each, and the
-    words are built on first use, so a large genus costs nothing unasked.
+    words, the byte tables of the text decode and of ``_block_sums`` are
+    built on first use, so a large genus costs nothing unasked.
     """
 
     def __init__(self, group: "FreeGroup"):
@@ -231,6 +244,24 @@ class _Alphabet:
     def zeta(self) -> "Word":
         g = self.group.genus
         return Word(self.group, [c for k in range(1, g + 1) for c in (k, g + k, -k, -g - k)])
+
+    @cached_property
+    def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes], ...]:
+        """Per handle k: the bytes that are no letter of handle k, and two tables.
+
+        The tables send a letter of the handle to its alpha (A_k +1, a_k -1)
+        and its beta (B_k +1, b_k -1) exponent plus 1, and every other byte,
+        the 0 that pads a projection among them, to the neutral 1.
+        """
+        g = self.group.genus
+        out = []
+        for k in range(1, g + 1):
+            up_a, down_a, up_b, down_b = k, -k & 0xFF, g + k, -(g + k) & 0xFF
+            keep = {up_a, down_a, up_b, down_b}
+            alpha, beta = bytearray(b"\x01" * 256), bytearray(b"\x01" * 256)
+            alpha[up_a], alpha[down_a], beta[up_b], beta[down_b] = 2, 0, 2, 0
+            out.append((bytes(c for c in range(256) if c not in keep), bytes(alpha), bytes(beta)))
+        return tuple(out)
 
 
 # one alphabet per genus, shared by the equal FreeGroup objects built while it is cached
@@ -331,14 +362,11 @@ class FreeGroup:
         """Build a word from signed letter codes; validates and reduces."""
         return Word(self, letters)
 
-    def generator(self, kind: str, index: int) -> "Word":
-        return Word(self, (self.letter_code(kind, index),))
-
     def a(self, index: int) -> "Word":
-        return self.generator("A", index)
+        return Word(self, (self.letter_code("A", index),))
 
     def b(self, index: int) -> "Word":
-        return self.generator("B", index)
+        return Word(self, (self.letter_code("B", index),))
 
     def generators(self) -> tuple["Word", ...]:
         """All 2g generators, A_1..A_g then B_1..B_g; built once per genus."""
@@ -456,9 +484,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word._from_reduced(self.group, _packed_inverse(self.packed, self.group))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         """w^n = prefix core^n prefix^-1, from ``cyclic_reduce``; reduced as written."""
         if not isinstance(n, int):
@@ -562,6 +587,112 @@ def conjugator(w1: Word, w2: Word) -> Optional[Word]:
     return p1 * x.inverse() * p2.inverse()
 
 
+def d_and_class(w: Word) -> tuple[int, tuple[int, ...]]:
+    """Morita's d(w) (``morita.d``) and the exponent-sum class [w].
+
+    The product identity and d = 0 on generators make d(w) the sum of
+    [x_p].[x_q] over the letter pairs p < q of w, and cancelling
+    neighbours add nothing to that sum, so the handle projections need
+    no reduction.  On one handle each beta^delta adds delta * (alpha sum
+    before it - alpha sum after it); with s the sum of alpha_p beta_q
+    over the letter pairs p < q of the handle and a, b its exponent sums,
+    the handle's share is 2 s - a b.
+    On a reduced projection this is the syllable formula with each
+    syllable split into its alpha and its beta.  The handles' exponent
+    sums are [w] (``homology.abelianize``).
+
+    ``_walk`` and ``_block_sums``, the two routes, sum s over the same
+    pairs.  The block route pays a fixed cost per handle, so it takes only
+    words of at least ``_KERNEL_LETTERS`` letters per handle; from there
+    on ``tools/sweep_substitution.py`` (``d_rows``) measures it ahead of
+    the walk, by less as the genus grows and about even at genus 63.
+    """
+    if w.group.width == 1 and len(w.packed) >= _KERNEL_LETTERS * w.group.genus:
+        return _block_sums(w)
+    return _walk(w)
+
+
+# Letters per handle from which the block route beats the walk, at most genera.
+_KERNEL_LETTERS = 250
+
+
+def _walk(w: Word) -> tuple[int, tuple[int, ...]]:
+    """``d_and_class`` by one pass over the letters with per-handle counters."""
+    g = w.group.genus
+    alpha = [0] * (g + 1)
+    beta = [0] * (g + 1)
+    s = 0
+    for c in w.view:
+        if c > g:
+            s += alpha[c - g]
+            beta[c - g] += 1
+        elif c > 0:
+            alpha[c] += 1
+        elif c >= -g:
+            alpha[-c] -= 1
+        else:
+            s -= alpha[-c - g]
+            beta[-c - g] -= 1
+    return 2 * s - sum(a * b for a, b in zip(alpha, beta)), tuple(alpha[1:] + beta[1:])
+
+
+# Block levels h of _block_sums: the sibling h-blocks inside each 8-block.
+_LEVELS = (1, 2, 4)
+# Table h maps the index byte (x << 4) + y of two h-block sums stored with
+# offset h to their product (x - h)(y - h), raised by h^2 to be a byte.
+_PRODUCTS = tuple(
+    bytes(((i >> 4) - h) * ((i & 15) - h) + h * h if i >> 4 <= 2 * h and i & 15 <= 2 * h else 0
+          for i in range(256))
+    for h in _LEVELS
+)
+# an 8-block sum stored with offset 8, as a signed byte
+_SIGNED = bytes((b - 8) & 0xFF for b in range(256))
+
+
+def _block_sums(w: Word) -> tuple[int, tuple[int, ...]]:
+    """``d_and_class`` for one-byte letters by block sums over byte strings.
+
+    Per handle, s = sum of alpha_p beta_q over p < q, split by the block
+    in which p and q part: for the smallest aligned 2h-block holding both,
+    p lies in its left h-block and q in its right one.  The projection
+    is padded with neutral letters to a multiple of 8 and held as two
+    byte strings of exponents plus 1, one for alpha and one for beta.
+    For h = 1, 2, 4 the even and odd slices, read as integers, give one
+    index byte per pair of sibling blocks (left alpha sum << 4 plus right
+    beta sum), a table gives the products and ``sum`` adds them; the
+    sum of the two slices is the next level's block sums, at most 16 in
+    a byte, so no byte carries into the next.  The pairs across 8-blocks
+    take one pass over the 8-block sums with running alpha totals, and
+    those sums add up to the handle's exponent sums.
+    """
+    packed = w.packed
+    total, alpha, beta = 0, [], []
+    for delete, to_alpha, to_beta in w.group.alphabet.handle_tables:
+        proj = packed.translate(None, delete)
+        if not proj:
+            alpha.append(0)
+            beta.append(0)
+            continue
+        proj += bytes(-len(proj) % 8)
+        xs, ys = proj.translate(to_alpha), proj.translate(to_beta)
+        s = 0
+        for h, products in zip(_LEVELS, _PRODUCTS):
+            n = len(xs) // 2
+            x_even, x_odd = int.from_bytes(xs[0::2], "little"), int.from_bytes(xs[1::2], "little")
+            y_even, y_odd = int.from_bytes(ys[0::2], "little"), int.from_bytes(ys[1::2], "little")
+            pairs = ((x_even << 4) + y_odd).to_bytes(n, "little")
+            s += sum(pairs.translate(products)) - h * h * n
+            xs, ys = (x_even + x_odd).to_bytes(n, "little"), (y_even + y_odd).to_bytes(n, "little")
+        a, b = sum(xs) - 8 * n, sum(ys) - 8 * n
+        xs = memoryview(xs.translate(_SIGNED)).cast("b")
+        ys = memoryview(ys.translate(_SIGNED)).cast("b")
+        s += sum(map(mul, accumulate(xs, initial=0), ys))
+        total += 2 * s - a * b
+        alpha.append(a)
+        beta.append(b)
+    return total, tuple(alpha + beta)
+
+
 def random_word(group: FreeGroup, length: int, rng) -> Word:
     """A pseudorandom reduced word of exactly the given length.
 
@@ -578,9 +709,3 @@ def random_word(group: FreeGroup, length: int, rng) -> Word:
                 letters.append(c)
                 break
     return Word(group, letters)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import lshift, mul
 
-from .freegroup import FreeGroup, Word
+from .freegroup import Word
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from mcgcocycles import FreeGroup, earle_psi, from_mapping, jablow
+from mcgcocycles import (
+    FreeGroup, MembershipError, earle_psi, from_mapping, jablow, random_word, require_membership,
+)
 from mcgcocycles import verify
 from mcgcocycles.cli import EXIT_BROKEN_PIPE, build_parser, main
 from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
@@ -328,6 +330,26 @@ def test_eval_echoes_a_bounded_part_of_a_bad_value(tmp_path, capsys):
     assert err.startswith("error: malformed generator token 'QQQ")
     err = _eval_error(tmp_path, capsys, {"genus": 2, "images": {**images, "C" * 100_000: "1"}})
     assert "unexpected ['CCC" in err
+    err = _eval_error(tmp_path, capsys, {"genus": int("9" * 4000), "images": images})
+    assert re.fullmatch(r"error: genus 9+\.\.\.9+ is too large to pack its letters\n", err)
+
+
+def test_eval_outside_n_shows_a_bounded_prefix_of_the_zeta_image(tmp_path, capsys):
+    F, rng = FreeGroup(3), random.Random(3)
+    images = {str(gen): str(random_word(F, 5000, rng)) for gen in F.generators()}
+    doc = {"genus": 3, "images": images}
+    with pytest.raises(MembershipError) as info:
+        require_membership(from_mapping(doc))
+    core = info.value.core
+    assert len(core) > 10_000  # the error keeps the whole image
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--in", str(path)]) == 3
+    head = " ".join(str(core).split()[:40])
+    assert capsys.readouterr().err == (
+        "error: endomorphism does not conjugate the boundary word; cyclically reduced "
+        f"image of zeta ({len(core)} letters): {head} ...\n"
+    )
 
 
 def test_eval_of_a_generator_index_beyond_int_conversion(tmp_path, capsys):

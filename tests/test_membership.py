@@ -39,7 +39,7 @@ from mcgcocycles import (
 )
 from mcgcocycles import verify
 from mcgcocycles.cli import main
-from mcgcocycles.morita import d_and_class
+from mcgcocycles.freegroup import d_and_class
 from mcgcocycles.verify import Sample, failures, run_checks
 
 

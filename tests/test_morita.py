@@ -22,7 +22,7 @@ from mcgcocycles import (
 from mcgcocycles.endomorphism import Endo
 from word_oracle import ALPHA, BETA, d_two_gen, project, syllables
 from sample_elements import twist_chain
-from mcgcocycles import morita, verify
+from mcgcocycles import freegroup, verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 
 A, B = ALPHA, BETA
@@ -130,7 +130,7 @@ def _kernel_words(draw):
     offset that covers every length mod 8."""
     g = draw(st.sampled_from(KERNEL_GENERA))
     handle = draw(st.one_of(st.none(), st.integers(1, g)))
-    near = draw(st.sampled_from((0, morita._KERNEL_LETTERS * g)))
+    near = draw(st.sampled_from((0, freegroup._KERNEL_LETTERS * g)))
     n = max(0, near + draw(st.integers(-40, 40)))
     return _reduced_word(FreeGroup(g), n, handle, random.Random(draw(st.integers(0, 2**32))))
 
@@ -150,9 +150,9 @@ def _reduced_word(F, n, handle, rng):
 @settings(max_examples=100, deadline=None)
 @given(_kernel_words())
 def test_block_kernel_walk_and_oracle_agree(w):
-    want = morita._walk(w)
-    assert morita._block_sums(w) == want
-    assert morita.d_and_class(w) == want
+    want = freegroup._walk(w)
+    assert freegroup._block_sums(w) == want
+    assert freegroup.d_and_class(w) == want
     handles = range(1, w.group.genus + 1)
     assert want == (sum(d_two_gen(project(w, i)) for i in handles), abelianize(w))
 
@@ -160,15 +160,15 @@ def test_block_kernel_walk_and_oracle_agree(w):
 @pytest.mark.parametrize("g", KERNEL_GENERA)
 def test_d_and_class_takes_the_kernel_from_its_threshold(g, monkeypatch):
     F, rng = FreeGroup(g), random.Random(g)
-    threshold = morita._KERNEL_LETTERS * g
+    threshold = freegroup._KERNEL_LETTERS * g
     calls = []
-    kernel = morita._block_sums
-    monkeypatch.setattr(morita, "_block_sums", lambda w: calls.append(len(w)) or kernel(w))
+    kernel = freegroup._block_sums
+    monkeypatch.setattr(freegroup, "_block_sums", lambda w: calls.append(len(w)) or kernel(w))
     lengths = range(threshold - 8, threshold + 8)  # every length mod 8, on both sides
     for n in lengths:
         for handle in (None, n % g + 1):
             w = _reduced_word(F, n, handle, rng)
-            assert morita.d_and_class(w) == morita._walk(w) == kernel(w), (n, handle)
+            assert freegroup.d_and_class(w) == freegroup._walk(w) == kernel(w), (n, handle)
     assert calls == [n for n in lengths if n >= threshold for _ in range(2)]
 
 
@@ -178,25 +178,25 @@ def test_block_kernel_on_a_commutator_of_long_powers():
     F, L = FreeGroup(2), 40_000
     w = F.from_letters([1] * L + [3] * L + [-1] * L + [-3] * L)
     want = (2 * L * L, (0, 0, 0, 0))
-    assert morita._block_sums(w) == morita._walk(w) == want
+    assert freegroup._block_sums(w) == freegroup._walk(w) == want
     assert d(w) == 2 * L * L
 
 
 def test_two_byte_letters_take_the_walk(monkeypatch):
     F = FreeGroup(64)
     assert F.width == 2
-    w = random_word(F, 4 * morita._KERNEL_LETTERS * F.genus, random.Random(64))
-    monkeypatch.setattr(morita, "_block_sums", None)  # calling it would raise
-    assert morita.d_and_class(w) == morita._walk(w)
+    w = random_word(F, 4 * freegroup._KERNEL_LETTERS * F.genus, random.Random(64))
+    monkeypatch.setattr(freegroup, "_block_sums", None)  # calling it would raise
+    assert freegroup.d_and_class(w) == freegroup._walk(w)
 
 
 def test_in_n_record_of_long_images_is_the_walks(monkeypatch):
     """A long-images-style element: jablow after alternating twists of one handle."""
     F = FreeGroup(3)
     phi = twist_chain(F, 2, 10_000)
-    assert max(map(len, phi.images)) >= morita._KERNEL_LETTERS * F.genus
+    assert max(map(len, phi.images)) >= freegroup._KERNEL_LETTERS * F.genus
     kernel = in_N(phi)
-    monkeypatch.setattr(morita, "_KERNEL_LETTERS", float("inf"))
+    monkeypatch.setattr(freegroup, "_KERNEL_LETTERS", float("inf"))
     walk = in_N(twist_chain(F, 2, 10_000))  # a new element: in_N caches the record
     assert (kernel.conjugator, kernel.rho, kernel.f_tilde) == (
         walk.conjugator, walk.rho, walk.f_tilde)

@@ -29,12 +29,12 @@ core of x against its rotation by one letter; ``letters_ns`` of decoding
 ``x.letters`` from the packed bytes.  Genus 64 and above packs two bytes
 per letter.
 
-The fourth table, ``d_rows``, times ``morita.d_and_class`` over ``GENERA``
+The fourth table, ``d_rows``, times ``freegroup.d_and_class`` over ``GENERA``
 on a fixed-seed random reduced word of ``letters`` letters, as the best
 time per letter: ``walk_ns`` of the letter walk, ``kernel_ns`` of the
 block sums (null from genus 64, whose two-byte letters only the walk
 reads) and ``d_ns`` of ``d_and_class``, which picks one of the two by
-``morita._KERNEL_LETTERS``; ``kernel`` says which.  Each time is the
+``freegroup._KERNEL_LETTERS``; ``kernel`` says which.  Each time is the
 least of ``--repeats`` runs.  The whole
 sweep takes about a minute.
 """
@@ -52,7 +52,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mcgcocycles import (  # noqa: E402
-    Auto, Endo, FreeGroup, compose, conjugator, identity_auto, inner, morita, random_word,
+    Auto, Endo, FreeGroup, compose, conjugator, freegroup, identity_auto, inner, random_word,
 )
 
 GENERA = (2, 5, 12, 64, 200)
@@ -146,13 +146,13 @@ def sweep_d(repeats: int) -> list[dict]:
         group = FreeGroup(g)
         for length in LENGTHS:
             w = random_word(group, length, random.Random(SEED))
-            kernel = morita._block_sums if group.width == 1 else None
+            kernel = freegroup._block_sums if group.width == 1 else None
             rows.append({
                 "genus": g, "letters": length,
-                "walk_ns": round(best_ns(lambda: morita._walk(w), length, repeats), 2),
+                "walk_ns": round(best_ns(lambda: freegroup._walk(w), length, repeats), 2),
                 "kernel_ns": kernel and round(best_ns(lambda: kernel(w), length, repeats), 2),
-                "d_ns": round(best_ns(lambda: morita.d_and_class(w), length, repeats), 2),
-                "kernel": kernel is not None and length >= morita._KERNEL_LETTERS * g,
+                "d_ns": round(best_ns(lambda: freegroup.d_and_class(w), length, repeats), 2),
+                "kernel": kernel is not None and length >= freegroup._KERNEL_LETTERS * g,
             })
             print(json.dumps(rows[-1]), file=sys.stderr)
     return rows
