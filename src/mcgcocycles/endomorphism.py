@@ -1,7 +1,9 @@
 """Endomorphisms and automorphisms of the surface group.
 
 An endomorphism is determined by the images of the 2g generators and
-acts on words letter by letter.  The mapping class group of the
+acts on a word by substituting them for its letters, in one pass of
+``freegroup.Substitution``; a conjugation by x skips that pass and
+returns x w x^-1 by two products.  The mapping class group of the
 once-punctured genus-g surface is the group of automorphisms fixing the
 boundary word zeta exactly; allowing zeta to move within its conjugacy
 class gives the larger group N whose quotient by inner automorphisms is
@@ -49,13 +51,15 @@ class Endo:
     caches of the membership record (see ``in_N``) and of the
     substitution kernel, which are derived data.
 
-    Applying the map to a word of more than one letter runs
-    ``freegroup.Substitution``, built from the images on the first such
-    call and kept: it holds every image and inverse image as packed
+    A conjugation (``inner``, ``identity_auto``, their inverses and
+    their composites) carries (x, x^-1) and applies as the two products
+    x w x^-1.  Any other map applied to a word of more than one letter
+    runs ``freegroup.Substitution``, built from the images on the first
+    such call and kept: it holds every image and inverse image as packed
     bytes and cancels at each seam at C speed.
     """
 
-    __slots__ = ("group", "images", "_member", "_table")
+    __slots__ = ("group", "images", "_member", "_table", "_conj")
 
     def __init__(self, group: FreeGroup, images: Iterable[Word]):
         imgs = tuple(images)
@@ -70,17 +74,22 @@ class Endo:
         self.images = imgs
         self._member: object = None  # None unknown, False no, else the NWitness
         self._table: Optional[Substitution] = None  # built by the first call
+        self._conj: Optional[tuple[Word, Word]] = None  # (x, x^-1) for conjugation by x
 
     def __call__(self, w: Word) -> Word:
         """Apply to a word; the result is reduced in one pass of the kernel.
 
-        A single generator is looked up without the kernel.
+        A single generator is looked up, and a conjugation by x returns
+        x w x^-1, both without the kernel.
         """
         if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
         letters = w.view
         if len(letters) == 1 and letters[0] > 0:
             return self.images[letters[0] - 1]
+        if self._conj is not None:
+            x, xi = self._conj
+            return x * w * xi
         table = self._table
         if table is None:
             table = self._table = Substitution(self.group, self.images)
@@ -121,7 +130,8 @@ class _Deferred:
         """The inverse, building each pending recipe under it once.
 
         The recipes are walked with a stack, so a long chain of composites
-        does not recurse; a built recipe is dropped.
+        does not recurse; a built recipe is dropped.  The inverse of
+        conjugation by x is built as the conjugation by x^-1.
         """
         stack = [self]
         while stack:
@@ -133,14 +143,16 @@ class _Deferred:
             if isinstance(recipe, Word):
                 xi = recipe.inverse()
                 images = tuple(xi * gen * recipe for gen in top.group.generators())
+                value = Endo(top.group, images)
+                value._conj = (xi, recipe)
             else:
                 pending = [p for p in recipe if isinstance(p, _Deferred) and p.recipe is not None]
                 if pending:
                     stack += pending
                     continue
                 first, then = (p.value if isinstance(p, _Deferred) else p for p in recipe)
-                images = tuple(first(im) for im in then.images)
-            top.value, top.recipe = Endo(top.group, images), None
+                value = Endo(top.group, tuple(first(im) for im in then.images))
+            top.value, top.recipe = value, None
             stack.pop()
         return self.value
 
@@ -202,7 +214,12 @@ class Auto(Endo):
         return back
 
     def inverse(self) -> "Auto":
-        return Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
+        """The inverse as an Auto; the inverse of conjugation by x is conjugation by x^-1."""
+        result = Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
+        if self._conj is not None:
+            x, xi = self._conj
+            result._conj, result._backward._conj = (xi, x), (x, xi)
+        return result
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
@@ -210,20 +227,33 @@ def compose(outer: Endo, inner: Endo) -> Endo:
 
     Returns an Auto when both factors are certified.  Its inverse,
     inner^-1 applied to the images of outer^-1, is built when its
-    ``backward`` is first read.
+    ``backward`` is first read.  The composite of the conjugations by x
+    and by y is the conjugation by x y, and its inverse is built as the
+    conjugation by (x y)^-1.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
     group = outer.group
     images = tuple(outer(im) for im in inner.images)
+    conj = None
+    if outer._conj is not None and inner._conj is not None:
+        (x, xi), (y, yi) = outer._conj, inner._conj
+        conj = (x * y, yi * xi)
     if isinstance(outer, Auto) and isinstance(inner, Auto):
-        return Auto._trusted(group, images, _Deferred(group, (inner._backward, outer._backward)))
-    return Endo(group, images)
+        recipe = conj[0] if conj else (inner._backward, outer._backward)
+        result = Auto._trusted(group, images, _Deferred(group, recipe))
+    else:
+        result = Endo(group, images)
+    result._conj = conj
+    return result
 
 
 def identity_auto(group: FreeGroup) -> Auto:
-    gens = group.generators()
-    return Auto._trusted(group, gens, Endo(group, gens))
+    """The identity, as the conjugation by the empty word."""
+    gens, one = group.generators(), group.identity()
+    result = Auto._trusted(group, gens, Endo(group, gens))
+    result._conj = result._backward._conj = (one, one)
+    return result
 
 
 def inner(x: Word) -> Auto:
@@ -231,7 +261,9 @@ def inner(x: Word) -> Auto:
     group = x.group
     xi = x.inverse()
     images = tuple(x * gen * xi for gen in group.generators())
-    return Auto._trusted(group, images, _Deferred(group, x))
+    result = Auto._trusted(group, images, _Deferred(group, x))
+    result._conj = (x, xi)
+    return result
 
 
 @lru_cache(maxsize=None)

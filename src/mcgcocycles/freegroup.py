@@ -101,9 +101,17 @@ def _packed_inverse(packed: bytes, group: "FreeGroup") -> bytes:
 
 
 def _cancelled(a: bytes, b: bytes, group: "FreeGroup") -> int:
-    """Bytes of the tail of packed word a that the head of b cancels, from their XOR's low bit."""
+    """Bytes of the tail of packed word a that the head of b cancels, from their XOR's low bit.
+
+    One-byte letters cancel at the seam when they add up to 0 modulo 256.
+    """
     n, width = min(len(a), len(b)), group.width
-    if not n or a[-width:] != _packed_inverse(b[:width], group):
+    if not n:
+        return 0
+    if width == 1:
+        if (a[-1] + b[0]) & 0xFF:
+            return 0
+    elif a[-width:] != _packed_inverse(b[:width], group):
         return 0
     x = int.from_bytes(a[-n:], "big") ^ int.from_bytes(_packed_inverse(b[:n], group), "big")
     return ((x & -x).bit_length() - 1) // (8 * width) * width if x else n
@@ -696,16 +704,27 @@ def _block_sums(w: Word) -> tuple[int, tuple[int, ...]]:
 def random_word(group: FreeGroup, length: int, rng) -> Word:
     """A pseudorandom reduced word of exactly the given length.
 
-    Successive letters avoid immediate cancellation, so the requested
-    length is the reduced length.  Deterministic for a given rng state.
+    ``rng`` is a ``random.Random``.  Successive letters avoid immediate
+    cancellation, so the requested length is the reduced length.  Each
+    generator is drawn as ``rng.randint(1, 2g)`` draws it, by rejection
+    over ``rng.getrandbits`` of the bit length of 2g, but without its
+    call layers, and each sign by ``rng.random()``; so the letters and
+    the rng's final state are those of the ``randint`` loop.
     """
+    rank = group.rank
+    bits, getrandbits, random = rank.bit_length(), rng.getrandbits, rng.random
     letters: list[int] = []
+    last = 0  # no letter is 0
     for _ in range(length):
         while True:
-            c = rng.randint(1, group.rank)
-            if rng.random() < 0.5:
+            c = getrandbits(bits)
+            while c >= rank:
+                c = getrandbits(bits)
+            c += 1
+            if random() < 0.5:
                 c = -c
-            if not letters or letters[-1] != -c:
+            if last != -c:
                 letters.append(c)
+                last = c
                 break
     return Word(group, letters)

@@ -31,7 +31,8 @@ def test_sweep_tool_writes_all_four_tables(tool, tmp_path, monkeypatch, capsys):
     assert row["first_ns"] > 0 and row["repeat_ns"] > 0
     (words,) = result["word_rows"]
     assert (words["genus"], words["letters"]) == (2, 100)
-    for name in ("mul_ns", "inverse_ns", "cyclic_reduce_ns", "conjugator_ns", "letters_ns"):
+    for name in ("mul_ns", "inverse_ns", "cyclic_reduce_ns", "conjugator_ns", "letters_ns",
+                 "conjugate_ns"):
         assert words[name] > 0, name
     assert [(r["genus"], r["letters"], r["kernel"]) for r in result["d_rows"]] == [(2, 100, False)]
 

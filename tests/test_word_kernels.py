@@ -5,7 +5,10 @@ membership witness with the defining equation phi(zeta) = u zeta u^-1,
 and ``d`` with the per-handle syllable formula
 ``d_two_gen(project(...))``.  Substitution packs a letter into one byte
 up to genus 63 and into two from genus 64, so its tests run on both
-sides of that line.
+sides of that line.  A conjugation applies as x w x^-1 without the
+kernel; it is compared with the oracle too, and the same images in a
+plain ``Endo`` keep the kernel's coverage of cancelling conjugates.
+The word sampler is compared with its ``randint`` loop.
 """
 
 import random
@@ -73,6 +76,7 @@ def test_apply_matches_oracle_on_random_words(g):
     F = FreeGroup(g)
     endos = [random_element(F, 4, seed=rng.randrange(1 << 30)) for _ in range(4)]
     endos.append(inner(random_word(F, 30, rng)))
+    endos.append(Endo(F, endos[-1].images))  # the same images through the kernel
     # arbitrary short images, the empty word among them, cancel at most seams
     endos += [
         Endo(F, [random_word(F, rng.randint(0, 4), rng) for _ in range(F.rank)])
@@ -82,6 +86,7 @@ def test_apply_matches_oracle_on_random_words(g):
         for _ in range(25):
             w = random_word(F, rng.randint(0, 200), rng)
             assert phi(w).letters == word_oracle.substitute(phi, w)
+    assert endos[5]._table is not None and endos[4]._table is None
 
 
 @pytest.mark.parametrize("g,handle", [(3, 1), (4, 4)])
@@ -97,7 +102,8 @@ def test_parse_and_apply_match_oracle_on_long_images(g, handle):
     for w in (F.zeta(), F.zeta().inverse(), *F.generators(), random_word(F, 12, random.Random(g))):
         assert phi(w).letters == word_oracle.substitute(phi, w)
     # short maps on the long word
-    for psi in (jablow(F), *twist_catalog(F), inner(F.word("A1 b2"))):
+    conj = inner(F.word("A1 b2"))
+    for psi in (jablow(F), *twist_catalog(F), conj, Endo(F, conj.images)):
         assert psi(longest).letters == word_oracle.substitute(psi, longest)
 
 
@@ -113,6 +119,56 @@ def test_apply_matches_oracle_on_inverse_images():
                 assert inv(w).letters == word_oracle.substitute(inv, w)
             for k, gen in enumerate(F.generators()):
                 assert inv(phi.images[k]) == gen
+
+
+def _conjugations(group, rng):
+    """(phi, x) for identity_auto, inner(x) for random x and for x = 1, and composites."""
+    one = group.identity()
+    xs = [one] + [random_word(group, rng.randint(1, 30), rng) for _ in range(4)]
+    conjs = [inner(x) for x in xs]
+    ident = identity_auto(group)
+    return [
+        (ident, one), *zip(conjs, xs),
+        (compose(conjs[1], conjs[2]), xs[1] * xs[2]),
+        (compose(conjs[3], compose(conjs[4], conjs[1])), xs[3] * xs[4] * xs[1]),
+        (compose(ident, conjs[2]), xs[2]),
+        (compose(conjs[3], ident), xs[3]),
+        (compose(conjs[1], conjs[1].inverse()), one),
+    ]
+
+
+@pytest.mark.parametrize("g", (2, 5, 64))
+def test_conjugations_apply_by_their_closed_form_like_the_oracle(g):
+    """Each conjugation, its inverse and both backward maps skip the kernel and agree
+    with the oracle, on words that x or x^-1 cancels in part or in full."""
+    rng = random.Random(600 + g)
+    F = FreeGroup(g)
+    for phi, x in _conjugations(F, rng):
+        xi = x.inverse()
+        words = [F.identity(), F.zeta(), F.zeta().inverse(), *F.generators(), x, xi,
+                 xi * F.zeta() * x, x * F.a(1), F.b(g) * xi]
+        words += [random_word(F, rng.randint(0, 200), rng) for _ in range(10)]
+        assert phi._conj == (x, xi)
+        inv = phi.inverse()
+        maps = (phi, phi.backward, inv, inv.backward)
+        for psi in maps:
+            assert psi._conj is not None
+            for w in words:
+                assert psi(w).letters == word_oracle.substitute(psi, w)
+        assert all(psi._table is None for psi in maps)
+        assert inv.images == phi.backward.images and inv.backward.images == phi.images
+        assert phi(x) == x and phi(xi * F.zeta() * x) == F.zeta()
+
+
+@pytest.mark.parametrize("g", (2, 3, 5, 63, 64, 100))
+def test_random_word_draws_like_the_randint_loop(g):
+    """Letter for letter, and with the same final rng state.  Each draw takes the
+    bit length of 2g bits, so at every genus some draws are 2g or more and rejected."""
+    F = FreeGroup(g)
+    for length in range(201):
+        fast, slow = random.Random(700 + length), random.Random(700 + length)
+        assert random_word(F, length, fast).letters == word_oracle.random_word(F, length, slow)
+        assert fast.getstate() == slow.getstate()
 
 
 # one-byte letters while 2g <= 127, two-byte letters above

@@ -10,7 +10,8 @@ tuples, reduced here, so the tests can compare them with the package.
 ``morita.d``: one reduced projection per handle, a tuple of +-ALPHA and
 +-BETA, and the syllable formula of the ``morita`` module docstring on
 it.  ``jablow_images`` writes out the involution's formula factor by
-factor.
+factor.  ``random_word`` draws each letter through ``rng.randint``, the
+loop the package's sampler reproduces from raw bits.
 """
 
 import re
@@ -59,6 +60,20 @@ def substitute(phi, w) -> tuple[int, ...]:
             else:
                 out.append(t)
     return tuple(out)
+
+
+def random_word(group, length: int, rng) -> tuple[int, ...]:
+    """Letters of a reduced random word, each generator by ``rng.randint``; rng is a random.Random."""
+    letters: list[int] = []
+    for _ in range(length):
+        while True:
+            c = rng.randint(1, group.rank)
+            if rng.random() < 0.5:
+                c = -c
+            if not letters or letters[-1] != -c:
+                letters.append(c)
+                break
+    return tuple(letters)
 
 
 def jablow_images(group) -> list[tuple[int, ...]]:

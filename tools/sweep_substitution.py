@@ -26,8 +26,10 @@ each as the best time per letter of x: ``mul_ns`` of x * y, where y
 starts with the inverse of the second half of x, so about half of x
 cancels at the seam; ``inverse_ns``; ``cyclic_reduce_ns``; ``conjugator_ns`` of the
 core of x against its rotation by one letter; ``letters_ns`` of decoding
-``x.letters`` from the packed bytes.  Genus 64 and above packs two bytes
-per letter.
+``x.letters`` from the packed bytes; ``conjugate_ns`` of ``inner(z)(x)``
+for a fixed-seed random z of 30 letters, which a conjugation applies as
+the two products z x z^-1, without the substitution kernel.  Genus 64
+and above packs two bytes per letter.
 
 The fourth table, ``d_rows``, times ``freegroup.d_and_class`` over ``GENERA``
 on a fixed-seed random reduced word of ``letters`` letters, as the best
@@ -129,11 +131,13 @@ def sweep_words(repeats: int) -> list[dict]:
             y = half * random_word(group, length - length // 2, rng)
             c1 = x.cyclic_reduce()[0]
             c2 = group.from_letters(c1.letters[1:] + c1.letters[:1])
+            conj = inner(random_word(group, 30, rng))
             row = {"genus": g, "letters": length}
             for name, call in (("mul_ns", lambda: x * y), ("inverse_ns", x.inverse),
                                ("cyclic_reduce_ns", x.cyclic_reduce),
                                ("conjugator_ns", lambda: conjugator(c1, c2)),
-                               ("letters_ns", lambda: x.letters)):
+                               ("letters_ns", lambda: x.letters),
+                               ("conjugate_ns", lambda: conj(x))):
                 row[name] = round(best_ns(call, length, repeats), 2)
             rows.append(row)
             print(json.dumps(rows[-1]), file=sys.stderr)
