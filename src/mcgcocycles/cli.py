@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import sys
 
 from .freegroup import FreeGroup
@@ -130,31 +131,31 @@ def resolve_builtin(group: FreeGroup, name: str) -> Auto:
     if name.startswith("twist:"):
         parts = name.split(":")
         if len(parts) != 3:
-            raise ValueError(f"twist form is twist:<k>:<A|B>, got {name!r}")
+            raise ValueError(f"twist form is twist:<k>:<A|B>, got {reprlib.repr(name)}")
         try:
             k = int(parts[1])
         except ValueError:
-            raise ValueError(f"twist index must be an integer, got {parts[1]!r}")
+            raise ValueError(f"twist index must be an integer, got {reprlib.repr(parts[1])}")
         variant = parts[2].upper()
         if variant not in ("A", "B") or not 1 <= k <= group.genus:
-            raise ValueError(f"no twist {name!r} at genus {group.genus}")
+            raise ValueError(f"no twist {reprlib.repr(name)} at genus {group.genus}")
         catalog = twist_catalog(group)
         return catalog[k - 1] if variant == "A" else catalog[group.genus + k - 1]
-    raise ValueError(f"unknown builtin {name!r}")
+    raise ValueError(f"unknown builtin {reprlib.repr(name)}")
 
 
-def _load_eval_input(args) -> tuple[Endo, str]:
+def _load_eval_input(args) -> Endo:
     source = args.source
     if source.startswith("builtin:"):
         if args.g is None:
             raise ValueError("builtins need --g to fix the genus")
-        return resolve_builtin(FreeGroup(args.g), source[len("builtin:"):]), source
+        return resolve_builtin(FreeGroup(args.g), source[len("builtin:"):])
     phi = load_automorphism(source)
     if args.g is not None and args.g != phi.group.genus:
         raise ValueError(
             f"--g {args.g} contradicts genus {phi.group.genus} from {source}"
         )
-    return phi, source
+    return phi
 
 
 def _psi_payload(vec, genus: int) -> dict:
@@ -175,7 +176,7 @@ def _matrix_payload(m) -> dict:
 
 def cmd_eval(args) -> int:
     try:
-        phi, source = _load_eval_input(args)
+        phi = _load_eval_input(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -203,7 +204,7 @@ def cmd_eval(args) -> int:
         doc = {
             "command": "eval",
             "genus": genus,
-            "source": source,
+            "source": args.source,
             "certified_automorphism": isinstance(phi, Auto),
             "witness": str(witness.conjugator),
             "results": results,
@@ -212,7 +213,7 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     print(f"genus: {genus}")
-    print(f"source: {source}")
+    print(f"source: {args.source}")
     print(f"certified automorphism: {'yes' if isinstance(phi, Auto) else 'no'}")
     print(f"zeta conjugating witness u: {witness.conjugator}")
     if "rho" in results:

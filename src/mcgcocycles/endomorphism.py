@@ -2,8 +2,8 @@
 
 An endomorphism is determined by the images of the 2g generators and
 acts on a word by substituting them for its letters, in one pass of
-``freegroup.Substitution``; a conjugation by x skips that pass and
-returns x w x^-1 by two products.  The mapping class group of the
+``freegroup.Substitution``; a conjugation by x, a class of its own,
+skips that pass and returns x w x^-1.  The mapping class group of the
 once-punctured genus-g surface is the group of automorphisms fixing the
 boundary word zeta exactly; allowing zeta to move within its conjugacy
 class gives the larger group N whose quotient by inner automorphisms is
@@ -51,15 +51,14 @@ class Endo:
     caches of the membership record (see ``in_N``) and of the
     substitution kernel, which are derived data.
 
-    A conjugation (``inner``, ``identity_auto``, their inverses and
-    their composites) carries (x, x^-1) and applies as the two products
-    x w x^-1.  Any other map applied to a word of more than one letter
-    runs ``freegroup.Substitution``, built from the images on the first
-    such call and kept: it holds every image and inverse image as packed
-    bytes and cancels at each seam at C speed.
+    Applied to a word other than a single generator, it runs
+    ``freegroup.Substitution``, built from the images on the first such
+    call and kept: it holds every image and inverse image as packed bytes
+    and cancels at each seam at C speed.  A conjugation is its own class
+    (see ``inner``) and applies by two products instead.
     """
 
-    __slots__ = ("group", "images", "_member", "_table", "_conj")
+    __slots__ = ("group", "images", "_member", "_table")
 
     def __init__(self, group: FreeGroup, images: Iterable[Word]):
         imgs = tuple(images)
@@ -74,26 +73,22 @@ class Endo:
         self.images = imgs
         self._member: object = None  # None unknown, False no, else the NWitness
         self._table: Optional[Substitution] = None  # built by the first call
-        self._conj: Optional[tuple[Word, Word]] = None  # (x, x^-1) for conjugation by x
 
     def __call__(self, w: Word) -> Word:
-        """Apply to a word; the result is reduced in one pass of the kernel.
-
-        A single generator is looked up, and a conjugation by x returns
-        x w x^-1, both without the kernel.
-        """
+        """Apply to a word: a single generator by lookup, any other word by ``_apply``."""
         if w.group is not self.group and w.group != self.group:
             raise ValueError(f"genus mismatch: {w.group!r} vs {self.group!r}")
         letters = w.view
         if len(letters) == 1 and letters[0] > 0:
             return self.images[letters[0] - 1]
-        if self._conj is not None:
-            x, xi = self._conj
-            return x * w * xi
+        return self._apply(w)
+
+    def _apply(self, w: Word) -> Word:
+        """Any other word, by the substitution kernel built on the first such call."""
         table = self._table
         if table is None:
             table = self._table = Substitution(self.group, self.images)
-        return table(letters)
+        return table(w.view)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -113,10 +108,10 @@ class Endo:
 class _Deferred:
     """An inverse not built yet: its recipe until the first read, then the Endo.
 
-    The recipe is a word x, for the inverse g -> x^-1 g x of conjugation
-    by x, or a pair (first, then) of inverses, each an Endo or a
-    _Deferred, for the inverse of a composite: generator k goes to
-    first(then.images[k]).  A recipe names inverses only, never the
+    The recipe is a word x, for the inverse of conjugation by x, built as
+    the conjugation by x^-1; or a pair (first, then) of inverses, each an
+    Endo or a _Deferred, for the inverse of a composite: generator k goes
+    to first(then.images[k]).  A recipe names inverses only, never the
     elements they invert, so it keeps no forward image alive, and it
     refers only to objects built before it, so it forms no cycle.
     """
@@ -130,8 +125,7 @@ class _Deferred:
         """The inverse, building each pending recipe under it once.
 
         The recipes are walked with a stack, so a long chain of composites
-        does not recurse; a built recipe is dropped.  The inverse of
-        conjugation by x is built as the conjugation by x^-1.
+        does not recurse; a built recipe is dropped.
         """
         stack = [self]
         while stack:
@@ -141,10 +135,7 @@ class _Deferred:
                 stack.pop()
                 continue
             if isinstance(recipe, Word):
-                xi = recipe.inverse()
-                images = tuple(xi * gen * recipe for gen in top.group.generators())
-                value = Endo(top.group, images)
-                value._conj = (xi, recipe)
+                value = _Conjugation.by(recipe.inverse(), recipe)
             else:
                 pending = [p for p in recipe if isinstance(p, _Deferred) and p.recipe is not None]
                 if pending:
@@ -163,7 +154,8 @@ class Auto(Endo):
     Construction composes both ways and requires every generator to come
     back to itself, so a constructed Auto is a genuine automorphism.
     ``backward``, the inverse as an Endo, is built on its first read for
-    composites and conjugations (see ``_trusted``) and then kept.
+    composites and conjugations (see ``_trusted``) and then kept; a
+    conjugation's is again a conjugation.
     """
 
     __slots__ = ("_backward",)
@@ -214,12 +206,35 @@ class Auto(Endo):
         return back
 
     def inverse(self) -> "Auto":
-        """The inverse as an Auto; the inverse of conjugation by x is conjugation by x^-1."""
-        result = Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
-        if self._conj is not None:
-            x, xi = self._conj
-            result._conj, result._backward._conj = (xi, x), (x, xi)
-        return result
+        """The inverse as an Auto."""
+        return Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
+
+
+class _Conjugation(Auto):
+    """The conjugation g -> x g x^-1, with ``xi`` = x^-1.
+
+    A word other than a single generator applies as the two products
+    x w x^-1, without the substitution kernel.  Built by ``by`` only,
+    through ``_trusted``, so nothing is certified; its inverse, the
+    conjugation by x^-1, is built when ``backward`` is first read.
+    """
+
+    __slots__ = ("x", "xi")
+
+    @classmethod
+    def by(cls, x: Word, xi: Word) -> "_Conjugation":
+        gens = x.group.generators()
+        # the empty x (the identity) keeps the generator words, making no product
+        images = tuple(x * gen * xi for gen in gens) if len(x) else gens
+        obj = cls._trusted(x.group, images, _Deferred(x.group, x))
+        obj.x, obj.xi = x, xi
+        return obj
+
+    def _apply(self, w: Word) -> Word:
+        return self.x * w * self.xi
+
+    def inverse(self) -> "_Conjugation":
+        return _Conjugation.by(self.xi, self.x)
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
@@ -228,42 +243,27 @@ def compose(outer: Endo, inner: Endo) -> Endo:
     Returns an Auto when both factors are certified.  Its inverse,
     inner^-1 applied to the images of outer^-1, is built when its
     ``backward`` is first read.  The composite of the conjugations by x
-    and by y is the conjugation by x y, and its inverse is built as the
-    conjugation by (x y)^-1.
+    and by y is the conjugation by x y, built without applying either.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
+    if isinstance(outer, _Conjugation) and isinstance(inner, _Conjugation):
+        return _Conjugation.by(outer.x * inner.x, inner.xi * outer.xi)
     group = outer.group
     images = tuple(outer(im) for im in inner.images)
-    conj = None
-    if outer._conj is not None and inner._conj is not None:
-        (x, xi), (y, yi) = outer._conj, inner._conj
-        conj = (x * y, yi * xi)
     if isinstance(outer, Auto) and isinstance(inner, Auto):
-        recipe = conj[0] if conj else (inner._backward, outer._backward)
-        result = Auto._trusted(group, images, _Deferred(group, recipe))
-    else:
-        result = Endo(group, images)
-    result._conj = conj
-    return result
+        return Auto._trusted(group, images, _Deferred(group, (inner._backward, outer._backward)))
+    return Endo(group, images)
 
 
 def identity_auto(group: FreeGroup) -> Auto:
     """The identity, as the conjugation by the empty word."""
-    gens, one = group.generators(), group.identity()
-    result = Auto._trusted(group, gens, Endo(group, gens))
-    result._conj = result._backward._conj = (one, one)
-    return result
+    return inner(group.identity())
 
 
 def inner(x: Word) -> Auto:
-    """Conjugation g -> x g x^-1; its inverse is built when first read."""
-    group = x.group
-    xi = x.inverse()
-    images = tuple(x * gen * xi for gen in group.generators())
-    result = Auto._trusted(group, images, _Deferred(group, x))
-    result._conj = (x, xi)
-    return result
+    """Conjugation g -> x g x^-1, applied as two products; its inverse is built on first read."""
+    return _Conjugation.by(x, x.inverse())
 
 
 @lru_cache(maxsize=None)

@@ -53,9 +53,9 @@ class Sample:
     """One draw: a group, seeds of random elements, and named random words.
 
     ``p1`` and ``p2`` are ``random_element(group, 4, seed=S)`` of the
-    seeds.  The sample builds its elements and the ``rho2_inv`` oracle on
-    first use and keeps only those; the cocycle values are cached in each
-    element's record (``in_N``).  ``str()`` is the text that rebuilds it.
+    seeds.  The sample builds its elements on first use and keeps only
+    those; the cocycle values are cached in each element's record
+    (``in_N``).  ``str()`` is the text that rebuilds it.
     """
 
     def __init__(self, group: FreeGroup, seeds: tuple[int, ...] = (),
@@ -83,11 +83,6 @@ class Sample:
     def comp(self) -> Auto:
         """p1 p2, acting p2 first."""
         return compose(self.p1, self.p2)
-
-    @cached_property
-    def rho2_inv(self):
-        """rho(p2)^-1, read off the inverse images."""
-        return induced_matrix(self.p2.backward)
 
     @cached_property
     def io(self) -> Auto:
@@ -241,14 +236,16 @@ def d_vanishes_on_generators(s: Sample) -> bool:
 
 
 def cocycle_rule(cocycle: Callable, s: Sample) -> Any:
-    """The twisted cocycle rule c(p1 p2) = rho(p2)^-1 c(p1) + c(p2).
+    """The twisted cocycle rule c(p1 p2) = rho(p2)^-1 c(p1) + c(p2), times rho(p2).
 
-    ``mat_vec`` is exact on an integer matrix times a Fraction vector, so
-    the rule serves the integral cocycles and Earle's psi alike.
+    rho(p2) (c(p1 p2) - c(p2)) = c(p1), with rho(p2) read off p2's images:
+    the oracle shares no inverse with the cocycles.  ``mat_vec`` is exact
+    on an integer matrix times a Fraction vector, so the rule serves the
+    integral cocycles and Earle's psi alike.
     """
-    moved = mat_vec(s.rho2_inv, cocycle(s.p1))
-    want = tuple(a + b for a, b in zip(moved, cocycle(s.p2)))
-    return _equal(cocycle(s.comp), want)
+    c1, c2 = cocycle(s.p1), cocycle(s.p2)
+    moved = mat_vec(induced_matrix(s.p2), tuple(a - b for a, b in zip(cocycle(s.comp), c2)))
+    return _equal(moved, c1)
 
 
 def f_tilde_on_conjugation(s: Sample) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from mcgcocycles import (
     FreeGroup, MembershipError, earle_psi, from_mapping, jablow, random_word, require_membership,
 )
-from mcgcocycles import verify
+from mcgcocycles import endomorphism, verify
 from mcgcocycles.cli import EXIT_BROKEN_PIPE, build_parser, main
 from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
 
@@ -334,6 +334,17 @@ def test_eval_echoes_a_bounded_part_of_a_bad_value(tmp_path, capsys):
     assert re.fullmatch(r"error: genus 9+\.\.\.9+ is too large to pack its letters\n", err)
 
 
+@pytest.mark.parametrize("name", [
+    "x" * 100_000, "twist:" + "7" * 100_000 + "x:A",
+    "twist:1:" + "C" * 100_000, "twist:1:A:" + "B" * 100_000,
+], ids=["unknown", "index", "no-twist", "twist-form"])
+def test_builtin_errors_echo_a_bounded_part_of_the_name(name, capsys):
+    for argv in (["eval", "--in", "builtin:" + name, "--g", "2"], ["builtin", name, "--g", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
 def test_eval_outside_n_shows_a_bounded_prefix_of_the_zeta_image(tmp_path, capsys):
     F, rng = FreeGroup(3), random.Random(3)
     images = {str(gen): str(random_word(F, 5000, rng)) for gen in F.generators()}
@@ -500,6 +511,21 @@ def test_verify_failure_detail_replays(monkeypatch):
     _, sample, verdict = _replay(failed[0].detail)
     assert verdict.startswith("got ")
     assert cocycle_rule(earle_psi, sample) == verdict
+
+
+def test_cocycle_rules_catch_a_wrong_rho_inverse(monkeypatch):
+    """With rho^-1 := rho in the membership record, f and psi break their cocycle
+    rules while f_tilde, which reads no rho^-1, keeps its own: the rules' oracle
+    rho(p2) comes from the images, not from the record's inverse."""
+    monkeypatch.setattr(endomorphism, "symplectic_inverse", lambda m: m)
+    genera = (2, 3, 4)
+    failed = {suite: [r.name for r in verify.failures(run_suite(suite, genera, 8, 0))]
+              for suite in ("cocycle-n", "descent", "earle")}
+    assert failed == {
+        "cocycle-n": [],
+        "descent": [f"g={g} twisted cocycle identity for f" for g in genera],
+        "earle": [f"g={g} twisted cocycle identity for psi" for g in genera],
+    }
 
 
 def test_verify_check_that_raises_fails_and_the_others_run(monkeypatch, capsys):

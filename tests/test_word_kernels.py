@@ -23,6 +23,7 @@ from mcgcocycles import (
     Auto,
     Endo,
     FreeGroup,
+    Word,
     compose,
     d,
     identity_auto,
@@ -34,6 +35,7 @@ from mcgcocycles import (
     twist_catalog,
 )
 from mcgcocycles import endomorphism, freegroup
+from mcgcocycles.endomorphism import _Conjugation
 
 SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", " \t ")
 
@@ -148,16 +150,42 @@ def test_conjugations_apply_by_their_closed_form_like_the_oracle(g):
         words = [F.identity(), F.zeta(), F.zeta().inverse(), *F.generators(), x, xi,
                  xi * F.zeta() * x, x * F.a(1), F.b(g) * xi]
         words += [random_word(F, rng.randint(0, 200), rng) for _ in range(10)]
-        assert phi._conj == (x, xi)
+        assert isinstance(phi, _Conjugation) and (phi.x, phi.xi) == (x, xi)
         inv = phi.inverse()
         maps = (phi, phi.backward, inv, inv.backward)
         for psi in maps:
-            assert psi._conj is not None
+            assert isinstance(psi, _Conjugation)
             for w in words:
                 assert psi(w).letters == word_oracle.substitute(psi, w)
         assert all(psi._table is None for psi in maps)
         assert inv.images == phi.backward.images and inv.backward.images == phi.images
         assert phi(x) == x and phi(xi * F.zeta() * x) == F.zeta()
+
+
+def test_identity_makes_no_product_and_conjugations_compose_without_applying(monkeypatch):
+    """The two slow paths a conjugation type can fall into: identity images built
+    as 1 gen 1 products, and a composite of conjugations built through the kernel."""
+    F = FreeGroup(5)
+    x, y = F.word("A1 b3 B5"), F.word("a2 A4 b1")
+    xy = x * y
+    want = tuple(xy * gen * xy.inverse() for gen in F.generators())
+    conj_x, conj_y = inner(x), inner(y)
+    products, calls, kernels = [], [], []
+    mul, call, kernel = Word.__mul__, Endo.__call__, endomorphism.Substitution
+    monkeypatch.setattr(Word, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    monkeypatch.setattr(Endo, "__call__", lambda phi, w: calls.append(phi) or call(phi, w))
+    monkeypatch.setattr(endomorphism, "Substitution",
+                        lambda *args: kernels.append(args) or kernel(*args))
+
+    ident = identity_auto(F)
+    assert all(im is gen for im, gen in zip(ident.images, F.generators()))
+    assert ident.backward.images == F.generators() and ident.inverse().images == F.generators()
+    assert products == []
+
+    comp = compose(conj_x, conj_y)
+    assert isinstance(comp, _Conjugation) and (comp.x, comp.xi) == (xy, xy.inverse())
+    assert comp.images == want and isinstance(compose(comp, ident), _Conjugation)
+    assert calls == [] and kernels == []
 
 
 @pytest.mark.parametrize("g", (2, 3, 5, 63, 64, 100))
