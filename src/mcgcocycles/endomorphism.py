@@ -15,6 +15,10 @@ here.
 Composition convention: a product of mapping classes acts with the right
 factor first, and ``compose(outer, inner)`` realizes exactly that, i.e.
 ``compose(f, g)(x) == f(g(x))``.
+
+An automorphism's inverse is built when first read, by one route per
+kind: a composite builds it from its two factors (``Auto.backward``),
+and a conjugation by x builds the conjugation by x^-1.
 """
 
 from __future__ import annotations
@@ -105,83 +109,32 @@ class Endo:
         return f"<{kind} genus {self.group.genus}>"
 
 
-class _Deferred:
-    """An inverse not built yet: its recipe until the first read, then the Endo.
-
-    The recipe is a word x, for the inverse of conjugation by x, built as
-    the conjugation by x^-1; or a pair (first, then) of inverses, each an
-    Endo or a _Deferred, for the inverse of a composite: generator k goes
-    to first(then.images[k]).  A recipe names inverses only, never the
-    elements they invert, so it keeps no forward image alive, and it
-    refers only to objects built before it, so it forms no cycle.
-    """
-
-    __slots__ = ("group", "recipe", "value")
-
-    def __init__(self, group: FreeGroup, recipe: object):
-        self.group, self.recipe, self.value = group, recipe, None
-
-    def build(self) -> Endo:
-        """The inverse, building each pending recipe under it once.
-
-        The recipes are walked with a stack, so a long chain of composites
-        does not recurse; a built recipe is dropped.
-        """
-        stack = [self]
-        while stack:
-            top = stack[-1]
-            recipe = top.recipe
-            if recipe is None:  # built through another composite
-                stack.pop()
-                continue
-            if isinstance(recipe, Word):
-                value = _Conjugation.by(recipe.inverse(), recipe)
-            else:
-                pending = [p for p in recipe if isinstance(p, _Deferred) and p.recipe is not None]
-                if pending:
-                    stack += pending
-                    continue
-                first, then = (p.value if isinstance(p, _Deferred) else p for p in recipe)
-                value = Endo(top.group, tuple(first(im) for im in then.images))
-            top.value, top.recipe = value, None
-            stack.pop()
-        return self.value
-
-
 class Auto(Endo):
     """An endomorphism certified invertible by an explicit inverse.
 
-    Construction composes both ways and requires every generator to come
-    back to itself, so a constructed Auto is a genuine automorphism.
-    ``backward``, the inverse as an Endo, is built on its first read for
-    composites and conjugations (see ``_trusted``) and then kept; a
-    conjugation's is again a conjugation.
+    Construction applies the inverse to the images and requires every
+    generator to come back to itself.  That one composition is enough:
+    psi(phi(x_k)) = x_k for every generator makes psi surjective, a free
+    group of finite rank is Hopfian (Nielsen; Lyndon-Schupp, ch. I), so
+    psi is an automorphism and phi = psi^-1; construction never applies
+    the forward map.  ``backward``, the inverse as an Endo, is built on
+    its first read for composites and conjugations (see ``_trusted``)
+    and then kept; a conjugation's is again a conjugation.
     """
 
     __slots__ = ("_backward",)
 
-    def __init__(
-        self,
-        group: FreeGroup,
-        images: Iterable[Word],
-        inverse_images: Iterable[Word],
-    ):
+    def __init__(self, group: FreeGroup, images: Iterable[Word], inverse_images: Iterable[Word]):
         super().__init__(group, images)
         backward = Endo(group, inverse_images)
-        for k, gen in enumerate(group.generators()):
-            if self(backward.images[k]) != gen or backward(self.images[k]) != gen:
-                raise ValueError(
-                    f"images and inverse images are not mutually inverse at {gen}"
-                )
+        for gen, im in zip(group.generators(), self.images):
+            if backward(im) != gen:
+                raise ValueError(f"images and inverse images are not mutually inverse at {gen}")
         self._backward = backward
 
     @classmethod
-    def _trusted(
-        cls,
-        group: FreeGroup,
-        images: tuple[Word, ...],
-        backward: "Endo | _Deferred",
-    ) -> "Auto":
+    def _trusted(cls, group: FreeGroup, images: tuple[Word, ...],
+                 backward: "Endo | tuple[Auto, Auto] | None") -> "Auto":
         """Skip the inverse check; caller has a proof.
 
         Used for algebraically guaranteed constructions, where
@@ -189,8 +142,10 @@ class Auto(Endo):
         composites of certified automorphisms, and the closed forms of
         ``jablow`` and ``twist_catalog``.  Those two are certified by
         ``tests/test_endomorphism.py`` and by the ``verify`` suites that
-        their docstrings name, not at construction.  ``backward`` is the inverse, or a _Deferred
-        recipe for it that the first read of ``backward`` builds.
+        their docstrings name, not at construction.  ``backward`` is the
+        inverse; or, for a composite, its two factors (outer, inner), kept
+        until the first read of ``backward`` builds the inverse from them;
+        or None for a conjugation, whose own ``backward`` builds it.
         """
         obj = object.__new__(cls)
         Endo.__init__(obj, group, images)
@@ -199,10 +154,25 @@ class Auto(Endo):
 
     @property
     def backward(self) -> Endo:
-        """The inverse automorphism, as an Endo."""
+        """The inverse automorphism, as an Endo.
+
+        A composite builds it on the first read, by (outer inner)^-1 =
+        inner^-1 outer^-1: a stack walk of the factor tree, outer first,
+        applies each leaf's inverse to the images built so far, and the
+        factors are then dropped.  The trade: an unread composite keeps its
+        factors alive, and no inverse is kept on the composites walked.
+        """
         back = self._backward
-        if isinstance(back, _Deferred):
-            back = self._backward = back.build()
+        if isinstance(back, tuple):
+            images, stack = None, [self]
+            while stack:
+                node = stack.pop()
+                if isinstance(node._backward, tuple):
+                    stack += reversed(node._backward)  # outer on top
+                else:
+                    leaf = node.backward
+                    images = leaf.images if images is None else tuple(map(leaf, images))
+            back = self._backward = Endo(self.group, images)
         return back
 
     def inverse(self) -> "Auto":
@@ -215,8 +185,9 @@ class _Conjugation(Auto):
 
     A word other than a single generator applies as the two products
     x w x^-1, without the substitution kernel.  Built by ``by`` only,
-    through ``_trusted``, so nothing is certified; its inverse, the
-    conjugation by x^-1, is built when ``backward`` is first read.
+    through ``_trusted``, so nothing is certified.  Its inverse, the
+    conjugation by x^-1, is built from ``xi`` on the first read of
+    ``backward``, and ``inverse()`` returns that same object.
     """
 
     __slots__ = ("x", "xi")
@@ -226,24 +197,32 @@ class _Conjugation(Auto):
         gens = x.group.generators()
         # the empty x (the identity) keeps the generator words, making no product
         images = tuple(x * gen * xi for gen in gens) if len(x) else gens
-        obj = cls._trusted(x.group, images, _Deferred(x.group, x))
+        obj = cls._trusted(x.group, images, None)
         obj.x, obj.xi = x, xi
         return obj
 
     def _apply(self, w: Word) -> Word:
         return self.x * w * self.xi
 
+    @property
+    def backward(self) -> "_Conjugation":
+        back = self._backward
+        if back is None:
+            back = self._backward = _Conjugation.by(self.xi, self.x)
+        return back
+
     def inverse(self) -> "_Conjugation":
-        return _Conjugation.by(self.xi, self.x)
+        return self.backward
 
 
 def compose(outer: Endo, inner: Endo) -> Endo:
     """The endomorphism x -> outer(inner(x)).
 
-    Returns an Auto when both factors are certified.  Its inverse,
-    inner^-1 applied to the images of outer^-1, is built when its
-    ``backward`` is first read.  The composite of the conjugations by x
-    and by y is the conjugation by x y, built without applying either.
+    Returns an Auto when both factors are certified.  It keeps the pair
+    (outer, inner) until its ``backward`` is first read, which builds
+    the inverse, inner^-1 applied to the images of outer^-1, and drops
+    the pair.  The composite of the conjugations by x and by y is the
+    conjugation by x y, built without applying either.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
@@ -252,7 +231,7 @@ def compose(outer: Endo, inner: Endo) -> Endo:
     group = outer.group
     images = tuple(outer(im) for im in inner.images)
     if isinstance(outer, Auto) and isinstance(inner, Auto):
-        return Auto._trusted(group, images, _Deferred(group, (inner._backward, outer._backward)))
+        return Auto._trusted(group, images, (outer, inner))
     return Endo(group, images)
 
 

@@ -446,8 +446,10 @@ SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, genera, samples: int, seed: int) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in a fixed order, at one genus or more."""
     genera = tuple(genera)
+    if not genera:
+        raise ValueError("no genus to check")
     for g in genera:
         FreeGroup(g)  # validates
     if name == "all":

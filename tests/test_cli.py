@@ -563,3 +563,10 @@ def test_verify_check_without_samples_fails():
     first = run_suite("words", [2], 0, 0)[0]
     assert (first.name, first.passed, first.detail) == (
         "g=2 group laws and reduction", False, "no sample drawn")
+
+
+@pytest.mark.parametrize("suite", ["words", "all"])
+def test_run_suite_rejects_an_empty_genus_list(suite):
+    """No genus means no check ran, which must not read as an empty list of failures."""
+    with pytest.raises(ValueError, match="no genus"):
+        run_suite(suite, (), 5, 0)

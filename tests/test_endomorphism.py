@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 
 import word_oracle
 from matrix_oracle import identity_matrix
+from sample_elements import twist_chain
 from mcgcocycles import (
     Auto,
     Endo,
@@ -28,6 +30,7 @@ from mcgcocycles import (
     twist_catalog,
     zeta_power_exponent,
 )
+from mcgcocycles.cli import main
 
 
 def test_endo_validates_images():
@@ -78,6 +81,44 @@ def test_auto_constructor_rejects_non_inverses():
         Auto(F, gens, (F.a(1) * F.b(1),) + gens[1:])
 
 
+def _one_letter_inverted(w):
+    """w with its middle letter replaced by that letter's inverse: another word."""
+    letters = list(w.letters)
+    letters[len(letters) // 2] *= -1
+    return w.group.from_letters(letters)
+
+
+@pytest.mark.parametrize("table", ["images", "inverse_images"])
+def test_one_changed_letter_in_either_table_is_rejected(table, tmp_path):
+    """One composition certifies both tables, so a change to either one is caught."""
+    F = FreeGroup(3)
+    phi = twist_chain(F, 2, 2_000)
+    tables = {"images": list(phi.images), "inverse_images": list(phi.backward.images)}
+    Auto(F, tables["images"], tables["inverse_images"])
+    doc = to_mapping(phi)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    assert main(["eval", "--in", str(good)]) == 0
+
+    longest = max(range(F.rank), key=lambda k: len(tables[table][k]))
+    tables[table][longest] = _one_letter_inverted(tables[table][longest])
+    with pytest.raises(ValueError, match="not mutually inverse"):
+        Auto(F, tables["images"], tables["inverse_images"])
+    doc[table][F.alphabet.tokens[longest + 1]] = str(tables[table][longest])
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--in", str(bad)]) == 2
+
+
+def test_construction_applies_only_the_inverse(monkeypatch):
+    F = FreeGroup(3)
+    phi = twist_chain(F, 2, 500)
+    images, inverse_images = phi.images, phi.backward.images
+    calls, call = [], Endo.__call__
+    monkeypatch.setattr(Endo, "__call__", lambda m, w: calls.append(m) or call(m, w))
+    checked = Auto(F, images, inverse_images)
+    assert len(calls) == F.rank and all(m is checked.backward for m in calls)
+
+
 def test_auto_inverse_round_trip():
     F = FreeGroup(2)
     t = twist_catalog(F)[0]
@@ -108,6 +149,7 @@ def test_deferred_inverses_match_the_eager_formulas():
             xi = x.inverse()
             conj = inner(x)
             assert _checked(conj) == tuple(xi * gen * x for gen in gens)
+            assert _checked(conj.inverse()) == conj.images
             # the outer composite is read first, so its factors are built under it
             left, right = compose(conj, p1), compose(p2, inner(xi))
             nested = compose(left, right)
@@ -142,7 +184,44 @@ def test_compose_and_inner_defer_their_inverses(monkeypatch):
     back = conj.backward
     assert len(products) == 4 * F.rank
     assert conj.backward is back and len(products) == 4 * F.rank
+    assert conj.inverse() is back and len(products) == 4 * F.rank
     assert calls == []
+
+
+def test_a_conjugation_has_one_inverse():
+    conj = inner(FreeGroup(3).word("A1 b3"))
+    inv = conj.inverse()
+    assert conj.backward is inv and conj.inverse() is inv
+    # the inverse's own inverse is built afresh, so the two form no cycle
+    assert inv.backward is not conj and inv.backward.images == conj.images
+
+
+def test_a_read_composite_drops_its_factors():
+    F = FreeGroup(3)
+    p1, p2 = random_element(F, 4, seed=5), random_element(F, 4, seed=6)
+    comp = compose(p1, p2)
+
+    def reached():
+        """The ids of what comp refers to, directly or through a tuple."""
+        refs = gc.get_referents(comp)
+        return {id(r) for r in refs} | {id(x) for r in refs if type(r) is tuple for x in r}
+
+    assert {id(p1), id(p2)} <= reached()  # held until the inverse is read
+    comp.backward
+    assert id(p1) not in reached() and id(p2) not in reached()
+
+
+def test_a_long_chain_reads_its_inverse_without_recursion():
+    """10,000 twists and inverses nest the factors 10,000 deep, past the recursion limit."""
+    F = FreeGroup(2)
+    catalog = twist_catalog(F)
+    phi = catalog[0]
+    for k in range(5_000):
+        twist = catalog[k % F.rank]
+        phi = compose(compose(phi, twist), twist.inverse())
+        if k % 1_000 == 0:
+            phi = compose(phi, inner(F.word("A1 b2")))
+    Auto(F, phi.images, phi.backward.images)
 
 
 def test_inner_automorphism():

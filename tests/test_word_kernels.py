@@ -20,7 +20,6 @@ import word_oracle
 from word_oracle import d_two_gen, project
 from sample_elements import twist_chain
 from mcgcocycles import (
-    Auto,
     Endo,
     FreeGroup,
     Word,
@@ -206,18 +205,13 @@ WIDTH_GENERA = (2, 5, 63, 64, 100)
 def _handle_chain(group, handle: int, min_letters: int, rng):
     """inner(x) after alternating A and B twists of one handle, until an image is long.
 
-    The two twists are built here rather than read from ``twist_catalog``,
-    so a large genus stays cheap.  x is a random word off the twisted
-    handle, so every image is conjugated and the seams of zeta cancel
-    across handles, while the preimage of zeta stays short.
+    x is a random word off the twisted handle, so every image is
+    conjugated and the seams of zeta cancel across handles, while the
+    preimage of zeta stays short.
     """
     g = group.genus
-    gens = group.generators()
-    twists = []
-    for k, partner in ((handle - 1, g + handle - 1), (g + handle - 1, handle - 1)):
-        images, inverse = list(gens), list(gens)
-        images[k], inverse[k] = gens[k] * gens[partner], gens[k] * gens[partner].inverse()
-        twists.append(Auto(group, images, inverse))
+    catalog = twist_catalog(group)
+    twists = (catalog[handle - 1], catalog[g + handle - 1])
     phi, k = identity_auto(group), 0
     while max(map(len, phi.images)) < min_letters:
         phi, k = compose(phi, twists[k % 2]), k + 1

@@ -54,7 +54,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mcgcocycles import (  # noqa: E402
-    Auto, Endo, FreeGroup, compose, conjugator, freegroup, identity_auto, inner, random_word,
+    Endo, FreeGroup, compose, conjugator, freegroup, identity_auto, inner, random_word,
+    twist_catalog,
 )
 
 GENERA = (2, 5, 12, 64, 200)
@@ -66,12 +67,8 @@ SEED = 9
 def handle_chain(group: FreeGroup, min_letters: int) -> Endo:
     """inner(x) after alternating twists of handle g until an image is long."""
     g = group.genus
-    gens = group.generators()
-    twists = []
-    for k, partner in ((g - 1, 2 * g - 1), (2 * g - 1, g - 1)):
-        images, inverse = list(gens), list(gens)
-        images[k], inverse[k] = gens[k] * gens[partner], gens[k] * gens[partner].inverse()
-        twists.append(Auto(group, images, inverse))
+    catalog = twist_catalog(group)
+    twists = (catalog[g - 1], catalog[2 * g - 1])
     phi, k = identity_auto(group), 0
     while max(map(len, phi.images)) < min_letters:
         phi, k = compose(phi, twists[k % 2]), k + 1
