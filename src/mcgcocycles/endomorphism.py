@@ -17,8 +17,8 @@ factor first, and ``compose(outer, inner)`` realizes exactly that, i.e.
 ``compose(f, g)(x) == f(g(x))``.
 
 An automorphism's inverse is built when first read, by one route per
-kind: a composite builds it from its two factors (``Auto.backward``),
-and a conjugation by x builds the conjugation by x^-1.
+kind: a composite from its factors' inverses, once per distinct
+composite (``Auto.backward``); a conjugation by x, the one by x^-1.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ class Auto(Endo):
     psi is an automorphism and phi = psi^-1; construction never applies
     the forward map.  ``backward``, the inverse as an Endo, is built on
     its first read for composites and conjugations (see ``_trusted``)
-    and then kept; a conjugation's is again a conjugation.
+    and then kept; a conjugation's is again a conjugation, and is its
+    ``inverse()``; any other ``inverse()`` is an Auto whose inverse is self.
     """
 
     __slots__ = ("_backward",)
@@ -144,8 +145,8 @@ class Auto(Endo):
         ``tests/test_endomorphism.py`` and by the ``verify`` suites that
         their docstrings name, not at construction.  ``backward`` is the
         inverse; or, for a composite, its two factors (outer, inner), kept
-        until the first read of ``backward`` builds the inverse from them;
-        or None for a conjugation, whose own ``backward`` builds it.
+        until the first read of ``backward`` builds the inverse from theirs
+        in one pass; or None for a conjugation, whose own ``backward`` builds it.
         """
         obj = object.__new__(cls)
         Endo.__init__(obj, group, images)
@@ -157,27 +158,29 @@ class Auto(Endo):
         """The inverse automorphism, as an Endo.
 
         A composite builds it on the first read, by (outer inner)^-1 =
-        inner^-1 outer^-1: a stack walk of the factor tree, outer first,
-        applies each leaf's inverse to the images built so far, and the
-        factors are then dropped.  The trade: an unread composite keeps its
-        factors alive, and no inverse is kept on the composites walked.
+        inner^-1 outer^-1: a post-order stack walk of the factor tree
+        inverts each distinct pending composite once, by rank applications
+        of inner^-1 to the images of outer^-1, and drops its factors.  The
+        trade: an unread composite keeps its factors alive, and the
+        composites of a read tree keep their own inverse while they live.
         """
-        back = self._backward
-        if isinstance(back, tuple):
-            images, stack = None, [self]
-            while stack:
-                node = stack.pop()
-                if isinstance(node._backward, tuple):
-                    stack += reversed(node._backward)  # outer on top
+        stack = [self]
+        while isinstance(self._backward, tuple):
+            node = stack.pop()
+            if isinstance(node._backward, tuple):  # else built under a composite sharing it
+                outer, inner = node._backward
+                pending = [f for f in (outer, inner) if isinstance(f._backward, tuple)]
+                if pending:
+                    stack += [node, *pending]
                 else:
-                    leaf = node.backward
-                    images = leaf.images if images is None else tuple(map(leaf, images))
-            back = self._backward = Endo(self.group, images)
-        return back
+                    images = tuple(map(inner.backward, outer.backward.images))
+                    node._backward = Endo(node.group, images)
+        return self._backward
 
     def inverse(self) -> "Auto":
-        """The inverse as an Auto."""
-        return Auto._trusted(self.group, self.backward.images, Endo(self.group, self.images))
+        """The inverse as an Auto: ``backward`` if it is one, else an Auto whose inverse is self."""
+        back = self.backward
+        return back if isinstance(back, Auto) else Auto._trusted(self.group, back.images, self)
 
 
 class _Conjugation(Auto):
@@ -211,18 +214,15 @@ class _Conjugation(Auto):
             back = self._backward = _Conjugation.by(self.xi, self.x)
         return back
 
-    def inverse(self) -> "_Conjugation":
-        return self.backward
-
 
 def compose(outer: Endo, inner: Endo) -> Endo:
     """The endomorphism x -> outer(inner(x)).
 
     Returns an Auto when both factors are certified.  It keeps the pair
     (outer, inner) until its ``backward`` is first read, which builds
-    the inverse, inner^-1 applied to the images of outer^-1, and drops
-    the pair.  The composite of the conjugations by x and by y is the
-    conjugation by x y, built without applying either.
+    the inverse in rank applications, inner^-1 to the images of outer^-1,
+    and drops the pair.  The composite of the conjugations by x and by y
+    is the conjugation by x y, built without applying either.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
@@ -245,7 +245,7 @@ def inner(x: Word) -> Auto:
     return _Conjugation.by(x, x.inverse())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # genera kept, as for the alphabets
 def jablow(group: FreeGroup) -> Auto:
     """The hyperelliptic-type involution on the surface group.
 
@@ -302,12 +302,8 @@ class NWitness:
 
     @cached_property
     def f(self) -> Vector:
-        """Morita's cocycle f(phi), with the witness ``conjugator``."""
-        return self.f_at(self.conjugator)
-
-    def f_at(self, u: Word) -> Vector:
-        """f_tilde - 2g rho^-1 [u] for a witness u of phi (morita.morita_f)."""
-        correction = mat_vec(self.rho_inv, abelianize(u))
+        """Morita's cocycle f_tilde - 2g rho^-1 [u], u the ``conjugator`` (morita.morita_f)."""
+        correction = mat_vec(self.rho_inv, abelianize(self.conjugator))
         rank = len(self.rho)
         return tuple(b - rank * c for b, c in zip(self.f_tilde, correction))
 
@@ -375,7 +371,7 @@ def zeta_power_exponent(w: Word) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def twist_catalog(group: FreeGroup) -> tuple[Auto, ...]:
     """2g boundary-fixing automorphisms used as random building blocks.
 

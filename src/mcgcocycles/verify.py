@@ -268,12 +268,15 @@ def witness_free(element: str = "p1", shifts: tuple[int, ...] = (-2, -1, 1, 2)) 
     """f of the element is the same with every witness u zeta^m.
 
     Each u zeta^m conjugates zeta to the element's image of it, as u does.
+    Checked multiplied through by the record's forward rho, as in
+    ``cocycle_rule``: rho (f - f_tilde) = -2g [u zeta^m]; no inverse is read.
     """
 
     def check(s: Sample) -> bool:
         member = in_N(getattr(s, element))
-        u, zeta = member.conjugator, s.group.zeta()
-        return all(member.f_at(u * zeta**m) == member.f for m in shifts)
+        u, zeta, rank = member.conjugator, s.group.zeta(), s.group.rank
+        moved = mat_vec(member.rho, tuple(a - b for a, b in zip(member.f, member.f_tilde)))
+        return all(moved == tuple(-rank * c for c in abelianize(u * zeta**m)) for m in shifts)
 
     return check
 

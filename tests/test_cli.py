@@ -515,15 +515,16 @@ def test_verify_failure_detail_replays(monkeypatch):
 
 def test_cocycle_rules_catch_a_wrong_rho_inverse(monkeypatch):
     """With rho^-1 := rho in the membership record, f and psi break their cocycle
-    rules while f_tilde, which reads no rho^-1, keeps its own: the rules' oracle
-    rho(p2) comes from the images, not from the record's inverse."""
+    rules and f its witness rule, while f_tilde, which reads no rho^-1, keeps
+    its own: the rules' oracle is the forward rho, never the record's inverse."""
     monkeypatch.setattr(endomorphism, "symplectic_inverse", lambda m: m)
     genera = (2, 3, 4)
     failed = {suite: [r.name for r in verify.failures(run_suite(suite, genera, 8, 0))]
               for suite in ("cocycle-n", "descent", "earle")}
     assert failed == {
         "cocycle-n": [],
-        "descent": [f"g={g} twisted cocycle identity for f" for g in genera],
+        "descent": [f"g={g} {name}" for g in genera for name in (
+            "value independent of witness choice", "twisted cocycle identity for f")],
         "earle": [f"g={g} twisted cocycle identity for psi" for g in genera],
     }
 

@@ -224,6 +224,40 @@ def test_a_long_chain_reads_its_inverse_without_recursion():
     Auto(F, phi.images, phi.backward.images)
 
 
+def test_repeated_squaring_inverts_each_composite_once(monkeypatch):
+    """A factor shared by both sides of a composite is inverted once, not per occurrence."""
+    F = FreeGroup(2)
+    p, squares = twist_catalog(F)[0], 12
+    for _ in range(squares):
+        p = compose(p, p)  # 4,096 leaves, 13 distinct automorphisms
+    calls, call = [], Endo.__call__
+    monkeypatch.setattr(Endo, "__call__", lambda m, w: calls.append(m) or call(m, w))
+    back = p.backward
+    assert len(calls) <= F.rank * squares
+    monkeypatch.undo()
+    Auto(F, p.images, back.images)
+
+
+def test_the_inverse_of_an_inverse_is_the_element():
+    F = FreeGroup(3)
+    t = twist_catalog(F)[0]
+    comp = compose(t, random_element(F, 4, seed=5))
+    for phi in (t, comp):
+        inv = phi.inverse()
+        assert inv.inverse() is phi and inv.images == phi.backward.images
+        assert all(r is not inv for r in gc.get_referents(phi))  # no cycle
+    conj = inner(F.word("A1 b3"))
+    assert conj.inverse() is conj.backward
+
+
+def test_builders_keep_a_bounded_number_of_genera():
+    for g in range(2, 22):
+        F = FreeGroup(g)
+        jablow(F), twist_catalog(F)
+    assert jablow.cache_info().currsize <= 16
+    assert twist_catalog.cache_info().currsize <= 16
+
+
 def test_inner_automorphism():
     F = FreeGroup(2)
     x = F.word("A1 B2")

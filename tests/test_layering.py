@@ -1,4 +1,5 @@
-"""The package's modules import one another one way, and only freegroup reads packed words."""
+"""The package's modules import one another one way, only freegroup reads packed words,
+and only endomorphism reads an element's caches."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -44,11 +45,19 @@ def test_sibling_imports_form_no_cycle():
         raise AssertionError(f"import cycle {exc.args[1]}") from None
 
 
-def test_only_freegroup_reads_the_packed_encoding():
-    found = [
+def _attribute_uses(attrs: tuple[str, ...], owner: str) -> list[str]:
+    """Where a module other than ``owner`` names one of ``attrs`` as an attribute."""
+    return [
         f"{name} line {node.lineno}: .{node.attr}"
-        for name, tree in MODULES.items() if name != "freegroup"
+        for name, tree in MODULES.items() if name != owner
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("packed", "width")
+        if isinstance(node, ast.Attribute) and node.attr in attrs
     ]
-    assert found == []
+
+
+def test_only_freegroup_reads_the_packed_encoding():
+    assert _attribute_uses(("packed", "width"), "freegroup") == []
+
+
+def test_only_endomorphism_reads_an_elements_caches():
+    assert _attribute_uses(("_backward", "_member", "_table"), "endomorphism") == []

@@ -32,6 +32,7 @@ from mcgcocycles import (
     in_N,
     induced_matrix,
     inner,
+    mat_vec,
     morita_f,
     random_element,
     save_automorphism,
@@ -129,9 +130,11 @@ def test_morita_f_is_computed_once_per_element(monkeypatch):
     assert morita_f(phi) is f is in_N(phi).f
     earle_psi(phi)
     assert len(classes) == 1
-    # another witness gives the same value, computed afresh
-    u = in_N(phi).conjugator
-    assert in_N(phi).f_at(u * F.zeta()) == f
+    # another witness u zeta gives the same value: rho (f - f_tilde) = -2g [u zeta],
+    # whose class here is the one further abelianization
+    member = in_N(phi)
+    moved = mat_vec(member.rho, tuple(a - b for a, b in zip(f, member.f_tilde)))
+    assert moved == tuple(-F.rank * c for c in homology.abelianize(member.conjugator * F.zeta()))
     assert len(classes) == 2
 
 
