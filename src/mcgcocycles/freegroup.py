@@ -37,11 +37,10 @@ Morita's turning function d (:mod:`mcgcocycles.morita`) sums over the
 letter pairs of a word, so it is computed here: ``d_and_class`` gives
 d(w) and the class [w] by two routes that give the same integers.  Short
 words, and words of two-byte letters (genus 64 and above), are walked
-letter by letter.  Long words of one-byte letters are cut, per handle,
-into aligned blocks of 1, 2, 4, 8, ... letters, and the product identity
-d(x y) = d(x) + d(y) + [x].[y], applied at every cut, adds up the
-crossing terms of sibling blocks from their exponent sums, which
-byte-string operations compute many at a time.
+letter by letter.  Long words of one-byte letters are translated, per
+handle, into two strings of base-4 digits whose places count the alpha
+letters before each beta letter, and one sweep of popcounts over the
+joined digits, read as integers, adds up those places.
 
 >>> F = FreeGroup(2)
 >>> w = F.word("A1 B2 b2 a1 B1")
@@ -60,8 +59,7 @@ import reprlib
 import struct
 import sys
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 
@@ -254,22 +252,21 @@ class _Alphabet:
         return Word(self.group, [c for k in range(1, g + 1) for c in (k, g + k, -k, -g - k)])
 
     @cached_property
-    def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes], ...]:
-        """Per handle k: the bytes that are no letter of handle k, and two tables.
+    def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes, bytes, bytes, int], ...]:
+        """Per handle k: the bytes that are no letter of it, two digit tables, a_k, A_k and b_k.
 
-        The tables send a letter of the handle to its alpha (A_k +1, a_k -1)
-        and its beta (B_k +1, b_k -1) exponent plus 1, and every other byte,
-        the 0 that pads a projection among them, to the neutral 1.
+        The digit tables send every B_k to the base-4 digit 1 and b_k to 2,
+        then the two swapped, and every other byte to 0.
         """
         g = self.group.genus
-        out = []
-        for k in range(1, g + 1):
-            up_a, down_a, up_b, down_b = k, -k & 0xFF, g + k, -(g + k) & 0xFF
-            keep = {up_a, down_a, up_b, down_b}
-            alpha, beta = bytearray(b"\x01" * 256), bytearray(b"\x01" * 256)
-            alpha[up_a], alpha[down_a], beta[up_b], beta[down_b] = 2, 0, 2, 0
-            out.append((bytes(c for c in range(256) if c not in keep), bytes(alpha), bytes(beta)))
-        return tuple(out)
+        # the B_k are the bytes g+1..2g and the b_k the bytes 256-2g..255-g
+        to_p1 = b"0" * (g + 1) + b"1" * g + b"0" * (255 - 4 * g) + b"2" * g + b"0" * g
+        to_p2 = to_p1.translate(bytes.maketrans(b"12", b"21"))
+        return tuple(
+            (bytes(c for c in range(256) if c not in {k, -k & 0xFF, g + k, -(g + k) & 0xFF}),
+             to_p1, to_p2, bytes([-k & 0xFF]), bytes([k]), -(g + k) & 0xFF)
+            for k in range(1, g + 1)
+        )
 
 
 # one alphabet per genus, shared by the equal FreeGroup objects built while it is cached
@@ -610,18 +607,18 @@ def d_and_class(w: Word) -> tuple[int, tuple[int, ...]]:
     sums are [w] (``homology.abelianize``).
 
     ``_walk`` and ``_block_sums``, the two routes, sum s over the same
-    pairs.  The block route pays a fixed cost per handle, so it takes only
-    words of at least ``_KERNEL_LETTERS`` letters per handle; from there
-    on ``tools/sweep_substitution.py`` (``d_rows``) measures it ahead of
-    the walk, by less as the genus grows and about even at genus 63.
+    pairs.  The digit route pays a fixed cost per handle, so it takes
+    only words of at least ``_KERNEL_LETTERS`` letters per handle; from
+    there on ``tools/sweep_substitution.py`` (``d_rows``) measures it
+    ahead of the walk, by less as the genus grows.
     """
     if w.group.width == 1 and len(w.packed) >= _KERNEL_LETTERS * w.group.genus:
         return _block_sums(w)
     return _walk(w)
 
 
-# Letters per handle from which the block route beats the walk, at most genera.
-_KERNEL_LETTERS = 250
+# Letters per handle from which the digit route beats the walk at genus 2 to 63.
+_KERNEL_LETTERS = 48
 
 
 def _walk(w: Word) -> tuple[int, tuple[int, ...]]:
@@ -644,61 +641,64 @@ def _walk(w: Word) -> tuple[int, tuple[int, ...]]:
     return 2 * s - sum(a * b for a, b in zip(alpha, beta)), tuple(alpha[1:] + beta[1:])
 
 
-# Block levels h of _block_sums: the sibling h-blocks inside each 8-block.
-_LEVELS = (1, 2, 4)
-# Table h maps the index byte (x << 4) + y of two h-block sums stored with
-# offset h to their product (x - h)(y - h), raised by h^2 to be a byte.
-_PRODUCTS = tuple(
-    bytes(((i >> 4) - h) * ((i & 15) - h) + h * h if i >> 4 <= 2 * h and i & 15 <= 2 * h else 0
-          for i in range(256))
-    for h in _LEVELS
-)
-# an 8-block sum stored with offset 8, as a signed byte
-_SIGNED = bytes((b - 8) & 0xFF for b in range(256))
+# Digits per chunk of _block_sums' digit string: 2^_CHUNK_BITS.
+_CHUNK_BITS = 14
+
+
+@lru_cache(maxsize=1)
+def _index_masks() -> tuple[int, tuple[int, ...]]:
+    """The masks of ``_block_sums``, built on first use: 15 of 2^15 bits, 60 KB.
+
+    As base-4 numerals of 2^14 digits, the first has the digit 1 at every
+    place and mask t at the places, counted from the right from 0, that
+    have bit t set; the other digits are 0.
+    """
+    size = 1 << _CHUNK_BITS
+    return int("1" * size, 4), tuple(int(("1" * h + "0" * h) * (size // (2 * h)), 4)
+                                     for h in (1 << t for t in range(_CHUNK_BITS)))
 
 
 def _block_sums(w: Word) -> tuple[int, tuple[int, ...]]:
-    """``d_and_class`` for one-byte letters by block sums over byte strings.
+    """``d_and_class`` for one-byte letters by one popcount sweep over base-4 digits.
 
-    Per handle, s = sum of alpha_p beta_q over p < q, split by the block
-    in which p and q part: for the smallest aligned 2h-block holding both,
-    p lies in its left h-block and q in its right one.  The projection
-    is padded with neutral letters to a multiple of 8 and held as two
-    byte strings of exponents plus 1, one for alpha and one for beta.
-    For h = 1, 2, 4 the even and odd slices, read as integers, give one
-    index byte per pair of sibling blocks (left alpha sum << 4 plus right
-    beta sum), a table gives the products and ``sum`` adds them; the
-    sum of the two slices is the next level's block sums, at most 16 in
-    a byte, so no byte carries into the next.  The pairs across 8-blocks
-    take one pass over the 8-block sums with running alpha totals, and
-    those sums add up to the handle's exponent sums.
+    Per handle, P1 is the projection onto its letters without a_k and P2
+    the projection without A_k.  A beta letter has #A_k + #beta letters
+    before it in P1 and #a_k + #beta letters in P2, so the beta-weighted
+    sum of its places in P1 minus that in P2 is the handle's s (see
+    ``d_and_class``).  With B_k the digit 1 and b_k 2 in P1, the two
+    swapped in P2 and every other letter 0, all joined as P1 P2 per
+    handle, W, the sum of place times sign (1 is +1, 2 is -1) over the
+    digits, gives d = 2 W + sum of b (2 len(P1) - a) over the handles,
+    where a = len(P1) - len(P2) and
+    b = len(P1) + len(P2) - len(projection) - 2 #b_k.
+
+    W is read in chunks of 2^14 digits, each one base-4 integer v: the
+    digits 1 are the bits of v under the masks of ``_index_masks`` and
+    the digits 2 those of v >> 1, so the popcounts under mask t add up
+    bit t of the places.  No word makes the masks grow.
     """
-    packed = w.packed
-    total, alpha, beta = 0, [], []
-    for delete, to_alpha, to_beta in w.group.alphabet.handle_tables:
+    packed, parts, alpha, beta, fixed = w.packed, [], [], [], 0
+    for delete, to_p1, to_p2, down_a, up_a, down_b in w.group.alphabet.handle_tables:
         proj = packed.translate(None, delete)
-        if not proj:
-            alpha.append(0)
-            beta.append(0)
-            continue
-        proj += bytes(-len(proj) % 8)
-        xs, ys = proj.translate(to_alpha), proj.translate(to_beta)
-        s = 0
-        for h, products in zip(_LEVELS, _PRODUCTS):
-            n = len(xs) // 2
-            x_even, x_odd = int.from_bytes(xs[0::2], "little"), int.from_bytes(xs[1::2], "little")
-            y_even, y_odd = int.from_bytes(ys[0::2], "little"), int.from_bytes(ys[1::2], "little")
-            pairs = ((x_even << 4) + y_odd).to_bytes(n, "little")
-            s += sum(pairs.translate(products)) - h * h * n
-            xs, ys = (x_even + x_odd).to_bytes(n, "little"), (y_even + y_odd).to_bytes(n, "little")
-        a, b = sum(xs) - 8 * n, sum(ys) - 8 * n
-        xs = memoryview(xs.translate(_SIGNED)).cast("b")
-        ys = memoryview(ys.translate(_SIGNED)).cast("b")
-        s += sum(map(mul, accumulate(xs, initial=0), ys))
-        total += 2 * s - a * b
+        p1, p2 = proj.translate(to_p1, down_a), proj.translate(to_p2, up_a)
+        a = len(p1) - len(p2)
+        b = len(p1) + len(p2) - len(proj) - 2 * proj.count(down_b)
+        fixed += b * (2 * len(p1) - a)
+        parts += p1, p2
         alpha.append(a)
         beta.append(b)
-    return total, tuple(alpha + beta)
+    digits, (low, masks) = b"".join(parts), _index_masks()
+    size, places = 1 << _CHUNK_BITS, 0
+    for start in range(0, len(digits), size):
+        chunk = digits[start:start + size]
+        v = int(chunk, 4)
+        u = v >> 1
+        # the masks count places from the chunk's right end; its sign sum, from one
+        # set bit per digit 1 or 2, turns them to count from the start of the digits
+        backwards = sum(((v & m).bit_count() - (u & m).bit_count()) << t
+                        for t, m in enumerate(masks))
+        places += (start + len(chunk) - 1) * (2 * (v & low).bit_count() - v.bit_count()) - backwards
+    return 2 * places + fixed, tuple(alpha + beta)
 
 
 def random_word(group: FreeGroup, length: int, rng) -> Word:

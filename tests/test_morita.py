@@ -119,15 +119,17 @@ def test_d_single_pass_matches_per_handle_projection():
             assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
 
 
-# genera with one-byte letters, which the block kernel reads; 63 is the largest
+# genera with one-byte letters, which the digit kernel reads; 63 is the largest
 KERNEL_GENERA = (2, 3, 5, 9, 63)
+# the kernel's chunk of base-4 digits
+CHUNK = 1 << freegroup._CHUNK_BITS
 
 
 @st.composite
 def _kernel_words(draw):
     """Reduced words of a one-byte genus, on every handle or on one handle
-    only, of about 0 letters or of about the kernel's threshold, with an
-    offset that covers every length mod 8."""
+    only, of 0 to 40 letters or within 40 letters of the kernel's
+    threshold."""
     g = draw(st.sampled_from(KERNEL_GENERA))
     handle = draw(st.one_of(st.none(), st.integers(1, g)))
     near = draw(st.sampled_from((0, freegroup._KERNEL_LETTERS * g)))
@@ -147,14 +149,81 @@ def _reduced_word(F, n, handle, rng):
     return F.from_letters(letters)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_kernel_words())
-def test_block_kernel_walk_and_oracle_agree(w):
+def _kernel_walk_and_oracle(w):
+    """d and [w] by the walk, after checking that the kernel, ``d_and_class``
+    and the syllable formula over the handle projections agree with it."""
     want = freegroup._walk(w)
     assert freegroup._block_sums(w) == want
     assert freegroup.d_and_class(w) == want
     handles = range(1, w.group.genus + 1)
     assert want == (sum(d_two_gen(project(w, i)) for i in handles), abelianize(w))
+    return want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_words())
+def test_block_kernel_walk_and_oracle_agree(w):
+    _kernel_walk_and_oracle(w)
+
+
+@st.composite
+def _chunk_edge_words(draw):
+    """Reduced words whose joined digit string ends on a chunk edge, one
+    digit before or after it, or five digits into a fourth chunk."""
+    g = draw(st.sampled_from(KERNEL_GENERA))
+    handle = draw(st.one_of(st.none(), st.integers(1, g)))
+    digits = draw(st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)))
+    betas = draw(st.integers(0, digits // 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = [0] * (digits - 2 * betas) + [g] * betas
+    rng.shuffle(kinds)
+    letters = []
+    for kind in kinds:
+        c = kind + (handle or rng.randint(1, g))
+        # the sign of an equal neighbour, so that no pair cancels
+        sign = letters[-1] // c if letters and abs(letters[-1]) == c else rng.choice((1, -1))
+        letters.append(sign * c)
+    return FreeGroup(g).from_letters(letters), digits
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chunk_edge_words())
+def test_kernel_on_chunk_edges_matches_walk_and_oracle(case):
+    w, digits = case
+    # an alpha letter is one digit, in P1 or in P2, and a beta letter two
+    assert sum(1 if abs(c) <= w.group.genus else 2 for c in w.letters) == digits
+    _kernel_walk_and_oracle(w)
+
+
+@pytest.mark.parametrize("g", (4, 63))
+@pytest.mark.parametrize("kinds", ("", "A", "B", "AB"))
+def test_kernel_on_handles_with_one_kind_of_letter_or_none(g, kinds):
+    """Handle 1 holds only A1/a1 letters, handle 2 only B2/b2, handle 3 none,
+    and the other handles the letters of ``kinds``."""
+    F, rng = FreeGroup(g), random.Random(g)
+    offsets = {"": (), "A": (0,), "B": (g,), "AB": (0, g)}[kinds]
+    codes = [1, g + 2] + [k + offset for k in range(4, g + 1) for offset in offsets]
+    letters = []
+    while len(letters) < 2 * freegroup._KERNEL_LETTERS * g:
+        c = rng.choice(codes) * rng.choice((1, -1))
+        if not letters or letters[-1] != -c:
+            letters.append(c)
+    _, cls = _kernel_walk_and_oracle(F.from_letters(letters))
+    assert cls[1] == cls[2] == cls[g] == cls[g + 2] == 0
+
+
+def test_a_long_word_builds_no_masks_beyond_the_one_set():
+    F = FreeGroup(2)
+    freegroup._block_sums(F.zeta())
+    masks, built = freegroup._index_masks(), freegroup._index_masks.cache_info().misses
+    w = random_word(F, 10_000, random.Random(6)) ** 100
+    assert len(w) >= 10**6
+    assert freegroup._block_sums(w) == freegroup._walk(w)
+    assert freegroup._index_masks() is masks
+    assert freegroup._index_masks.cache_info().misses == built
+    low, by_bit = masks
+    assert len(by_bit) == freegroup._CHUNK_BITS
+    assert all(m.bit_length() <= 2 * CHUNK for m in (low, *by_bit))
 
 
 @pytest.mark.parametrize("g", KERNEL_GENERA)
@@ -164,7 +233,7 @@ def test_d_and_class_takes_the_kernel_from_its_threshold(g, monkeypatch):
     calls = []
     kernel = freegroup._block_sums
     monkeypatch.setattr(freegroup, "_block_sums", lambda w: calls.append(len(w)) or kernel(w))
-    lengths = range(threshold - 8, threshold + 8)  # every length mod 8, on both sides
+    lengths = range(threshold - 8, threshold + 8)  # on both sides
     for n in lengths:
         for handle in (None, n % g + 1):
             w = _reduced_word(F, n, handle, rng)
@@ -173,8 +242,8 @@ def test_d_and_class_takes_the_kernel_from_its_threshold(g, monkeypatch):
 
 
 def test_block_kernel_on_a_commutator_of_long_powers():
-    """d([A1^L, B1^L]) = 2 L^2: every 8-block of each quarter has the
-    largest alpha or beta sum, and the running alpha total reaches L."""
+    """d([A1^L, B1^L]) = 2 L^2: the 6 L digits fill 15 chunks, and the B1
+    and b1 places are L apart in P1 and 2 L apart in P2."""
     F, L = FreeGroup(2), 40_000
     w = F.from_letters([1] * L + [3] * L + [-1] * L + [-3] * L)
     want = (2 * L * L, (0, 0, 0, 0))

@@ -34,7 +34,7 @@ def test_sweep_tool_writes_all_four_tables(tool, tmp_path, monkeypatch, capsys):
     for name in ("mul_ns", "inverse_ns", "cyclic_reduce_ns", "conjugator_ns", "letters_ns",
                  "conjugate_ns"):
         assert words[name] > 0, name
-    assert [(r["genus"], r["letters"], r["kernel"]) for r in result["d_rows"]] == [(2, 100, False)]
+    assert [(r["genus"], r["letters"], r["kernel"]) for r in result["d_rows"]] == [(2, 100, True)]
 
 
 def test_d_rows_time_the_kernel_only_on_one_byte_letters(tool, monkeypatch):
@@ -42,7 +42,7 @@ def test_d_rows_time_the_kernel_only_on_one_byte_letters(tool, monkeypatch):
     monkeypatch.setattr(tool, "LENGTHS", (100, 600))
     rows = tool.sweep_d(2)
     assert [(r["genus"], r["letters"], r["kernel"]) for r in rows] == [
-        (2, 100, False), (2, 600, True), (64, 100, False), (64, 600, False)]
+        (2, 100, True), (2, 600, True), (64, 100, False), (64, 600, False)]
     for r in rows:
         assert r["walk_ns"] > 0 and r["d_ns"] > 0
         assert (r["kernel_ns"] is None) == (r["genus"] == 64)

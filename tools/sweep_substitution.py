@@ -34,8 +34,8 @@ and above packs two bytes per letter.
 The fourth table, ``d_rows``, times ``freegroup.d_and_class`` over ``GENERA``
 on a fixed-seed random reduced word of ``letters`` letters, as the best
 time per letter: ``walk_ns`` of the letter walk, ``kernel_ns`` of the
-block sums (null from genus 64, whose two-byte letters only the walk
-reads) and ``d_ns`` of ``d_and_class``, which picks one of the two by
+popcount sweep over base-4 digits (null from genus 64, whose two-byte
+letters only the walk reads) and ``d_ns`` of ``d_and_class``, which picks one of the two by
 ``freegroup._KERNEL_LETTERS``; ``kernel`` says which.  Each time is the
 least of ``--repeats`` runs.  The whole
 sweep takes about a minute.
