@@ -26,7 +26,6 @@ from .endomorphism import (
     NWitness,
     compose,
     from_mapping,
-    identity_auto,
     in_M_g1,
     in_N,
     inner,
@@ -65,7 +64,6 @@ __all__ = [
     "NWitness",
     "compose",
     "from_mapping",
-    "identity_auto",
     "in_M_g1",
     "in_N",
     "inner",

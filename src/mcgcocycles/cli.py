@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import os
-import reprlib
 import sys
 
 from .freegroup import FreeGroup
@@ -30,14 +29,11 @@ from .endomorphism import (
     Auto,
     Endo,
     MembershipError,
-    identity_auto,
-    inner,
-    jablow,
     load_automorphism,
+    named_element,
     require_membership,
     save_automorphism,
     to_mapping,
-    twist_catalog,
 )
 from .morita import f_tilde, morita_f
 from .earle import earle_psi, over_canonical_denominator
@@ -120,36 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_builtin(group: FreeGroup, name: str) -> Auto:
-    """Named elements: identity, iota, inner:<word>, twist:<k>:<A|B>."""
-    if name == "identity":
-        return identity_auto(group)
-    if name == "iota":
-        return jablow(group)
-    if name.startswith("inner:"):
-        return inner(group.word(name[len("inner:"):]))
-    if name.startswith("twist:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"twist form is twist:<k>:<A|B>, got {reprlib.repr(name)}")
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise ValueError(f"twist index must be an integer, got {reprlib.repr(parts[1])}")
-        variant = parts[2].upper()
-        if variant not in ("A", "B") or not 1 <= k <= group.genus:
-            raise ValueError(f"no twist {reprlib.repr(name)} at genus {group.genus}")
-        catalog = twist_catalog(group)
-        return catalog[k - 1] if variant == "A" else catalog[group.genus + k - 1]
-    raise ValueError(f"unknown builtin {reprlib.repr(name)}")
-
-
 def _load_eval_input(args) -> Endo:
     source = args.source
     if source.startswith("builtin:"):
         if args.g is None:
             raise ValueError("builtins need --g to fix the genus")
-        return resolve_builtin(FreeGroup(args.g), source[len("builtin:"):])
+        return named_element(FreeGroup(args.g), source[len("builtin:"):])
     phi = load_automorphism(source)
     if args.g is not None and args.g != phi.group.genus:
         raise ValueError(
@@ -238,7 +210,7 @@ def cmd_eval(args) -> int:
 
 def cmd_builtin(args) -> int:
     try:
-        phi = resolve_builtin(FreeGroup(args.g), args.name)
+        phi = named_element(FreeGroup(args.g), args.name)
         if args.out is not None:
             save_automorphism(phi, args.out)
             return EXIT_OK

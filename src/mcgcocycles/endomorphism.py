@@ -235,11 +235,6 @@ def compose(outer: Endo, inner: Endo) -> Endo:
     return Endo(group, images)
 
 
-def identity_auto(group: FreeGroup) -> Auto:
-    """The identity, as the conjugation by the empty word."""
-    return inner(group.identity())
-
-
 def inner(x: Word) -> Auto:
     """Conjugation g -> x g x^-1, applied as two products; its inverse is built on first read."""
     return _Conjugation.by(x, x.inverse())
@@ -397,6 +392,33 @@ def twist_catalog(group: FreeGroup) -> tuple[Auto, ...]:
     return tuple(entries)
 
 
+def named_element(group: FreeGroup, name: str) -> Auto:
+    """Named elements: identity, iota, inner:<word>, twist:<k>:<A|B>.
+
+    The one table of names, read by the CLI's builtins; a bad name raises ValueError.
+    """
+    if name == "identity":
+        return inner(group.identity())
+    if name == "iota":
+        return jablow(group)
+    if name.startswith("inner:"):
+        return inner(group.word(name[len("inner:"):]))
+    if name.startswith("twist:"):
+        parts = name.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"twist form is twist:<k>:<A|B>, got {reprlib.repr(name)}")
+        try:
+            k = int(parts[1])
+        except ValueError:
+            raise ValueError(f"twist index must be an integer, got {reprlib.repr(parts[1])}")
+        variant = parts[2].upper()
+        if variant not in ("A", "B") or not 1 <= k <= group.genus:
+            raise ValueError(f"no twist {reprlib.repr(name)} at genus {group.genus}")
+        catalog = twist_catalog(group)
+        return catalog[k - 1] if variant == "A" else catalog[group.genus + k - 1]
+    raise ValueError(f"unknown builtin {reprlib.repr(name)}")
+
+
 def random_element(group: FreeGroup, word_budget: int = 4, seed: int = 0) -> Auto:
     """A deterministic pseudorandom element of N.
 
@@ -407,7 +429,7 @@ def random_element(group: FreeGroup, word_budget: int = 4, seed: int = 0) -> Aut
     """
     rng = random.Random(seed)
     catalog = twist_catalog(group)
-    result = identity_auto(group)
+    result = inner(group.identity())
     for _ in range(word_budget):
         if max(len(im) for im in result.images) > 1500:
             break

@@ -1,28 +1,40 @@
-"""Elements of N that the tests build by hand.
+"""Elements of N that the tests and ``tools/sweep_substitution.py`` build by hand.
 
-``twist_chain`` gives long images on one handle.  The other two act on
-homology across handles, which no element of ``random_element``'s pool
-does: each of those acts within every handle (twists, conjugations, the
-involution), so a rho^-1 that is wrong only across handles passes on
-them.
+``twist_chain`` and ``handle_chain`` give long images on one handle.
+``transvection`` and ``handle_swap`` act on homology across handles,
+which no element of ``random_element``'s pool does: each of those acts
+within every handle (twists, conjugations, the involution), so a rho^-1
+that is wrong only across handles passes on them.
 """
 
-from mcgcocycles import Auto, FreeGroup, commutator, compose, jablow, twist_catalog
+from mcgcocycles import Auto, FreeGroup, commutator, compose, inner
+from mcgcocycles.endomorphism import named_element
 
 
-def twist_chain(group: FreeGroup, handle: int, min_letters: int):
-    """jablow, then alternating A and B twists of one handle until an image is long.
+def twist_chain(group: FreeGroup, handle: int, min_letters: int, start: str = "iota"):
+    """Element ``start``, then alternating A and B twists of one handle until an image is long.
 
     The twisted handle's images grow like Fibonacci numbers.
     """
-    catalog = twist_catalog(group)
-    twists = (catalog[handle - 1], catalog[group.genus + handle - 1])
-    phi = jablow(group)
-    k = 0
-    while max(len(im) for im in phi.images) < min_letters:
-        phi = compose(phi, twists[k % 2])
-        k += 1
+    twists = [named_element(group, f"twist:{handle}:{v}") for v in "AB"]
+    phi, k = named_element(group, start), 0
+    while max(map(len, phi.images)) < min_letters:
+        phi, k = compose(phi, twists[k % 2]), k + 1
     return phi
+
+
+def handle_chain(group: FreeGroup, handle: int, min_letters: int, rng):
+    """inner(x) after alternating A and B twists of one handle, until an image is long.
+
+    x is a random word of 30 letters off the twisted handle, so every
+    image is conjugated and the seams of zeta cancel across handles, as
+    they do for a member of N, while the preimage of zeta stays short.
+    """
+    g = group.genus
+    phi = twist_chain(group, handle, min_letters, start="identity")
+    others = [c for c in range(1, 2 * g + 1) if c not in (handle, g + handle)]
+    x = group.from_letters(rng.choice((1, -1)) * rng.choice(others) for _ in range(30))
+    return compose(inner(x), phi)
 
 
 def transvection() -> Auto:

@@ -15,7 +15,6 @@ from mcgcocycles import (
     Word,
     compose,
     from_mapping,
-    identity_auto,
     in_M_g1,
     in_N,
     induced_matrix,
@@ -31,6 +30,7 @@ from mcgcocycles import (
     zeta_power_exponent,
 )
 from mcgcocycles.cli import main
+from mcgcocycles.endomorphism import named_element
 
 
 def test_endo_validates_images():
@@ -123,8 +123,8 @@ def test_auto_inverse_round_trip():
     F = FreeGroup(2)
     t = twist_catalog(F)[0]
     ti = t.inverse()
-    assert compose(t, ti) == identity_auto(F)
-    assert compose(ti, t) == identity_auto(F)
+    assert compose(t, ti) == inner(F.identity())
+    assert compose(ti, t) == inner(F.identity())
 
 
 def _checked(phi):
@@ -265,7 +265,7 @@ def test_inner_automorphism():
     w = F.word("B1 a2")
     assert phi(w) == x * w * x.inverse()
     assert isinstance(phi, Auto)
-    assert compose(phi, phi.inverse()) == identity_auto(F)
+    assert compose(phi, phi.inverse()) == inner(F.identity())
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
@@ -298,7 +298,7 @@ def test_jablow_conjugates_zeta_by_descending_bs():
 
 def test_membership_tests():
     F = FreeGroup(2)
-    assert in_M_g1(identity_auto(F))
+    assert in_M_g1(inner(F.identity()))
     assert in_M_g1(twist_catalog(F)[0])
     assert not in_M_g1(jablow(F))
     assert in_N(jablow(F)) is not None
@@ -339,6 +339,33 @@ def test_twist_catalog_shape_and_certificates():
         # the advertised images
         assert catalog[0](F.a(1)) == F.a(1) * F.b(1)
         assert catalog[g](F.b(1)) == F.b(1) * F.a(1)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_named_elements_are_the_catalog_entries_and_closed_forms(g):
+    F = FreeGroup(g)
+    catalog = twist_catalog(F)
+    for k in range(1, g + 1):
+        for a, b in (("A", "B"), ("a", "b")):
+            assert named_element(F, f"twist:{k}:{a}") is catalog[k - 1]
+            assert named_element(F, f"twist:{k}:{b}") is catalog[g + k - 1]
+    assert named_element(F, "iota") is jablow(F)
+    assert named_element(F, "identity") == inner(F.identity())
+    assert named_element(F, "inner:A1 b2") == inner(F.word("A1 b2"))
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nonsense", "unknown builtin 'nonsense'"),
+    ("twist:1", "twist form is twist:<k>:<A|B>, got 'twist:1'"),
+    ("twist:x:A", "twist index must be an integer, got 'x'"),
+    ("twist:3:A", "no twist 'twist:3:A' at genus 2"),
+    ("twist:0:B", "no twist 'twist:0:B' at genus 2"),
+    ("twist:1:C", "no twist 'twist:1:C' at genus 2"),
+])
+def test_named_element_errors_name_the_bad_part(name, message):
+    with pytest.raises(ValueError) as exc:
+        named_element(FreeGroup(2), name)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 64])
@@ -389,7 +416,7 @@ def test_random_element_is_deterministic_and_in_n():
 
 def test_random_element_budget_zero_is_identity():
     F = FreeGroup(2)
-    assert random_element(F, 0, seed=5) == identity_auto(F)
+    assert random_element(F, 0, seed=5) == inner(F.identity())
 
 
 def test_mapping_round_trip(tmp_path):
@@ -427,7 +454,7 @@ def test_mapping_without_inverse_downgrades_to_endo(tmp_path):
 
 
 def test_mapping_validation_errors(tmp_path):
-    good = to_mapping(identity_auto(FreeGroup(2)))
+    good = to_mapping(inner(FreeGroup(2).identity()))
 
     bad = dict(good)
     bad["genus"] = "2"

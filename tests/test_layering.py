@@ -1,5 +1,6 @@
 """The package's modules import one another one way, only freegroup reads packed words,
-and only endomorphism reads an element's caches."""
+only endomorphism reads an element's caches, and no module but ``__init__`` imports a
+name it never reads."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -61,3 +62,17 @@ def test_only_freegroup_reads_the_packed_encoding():
 
 def test_only_endomorphism_reads_an_elements_caches():
     assert _attribute_uses(("_backward", "_member", "_table"), "endomorphism") == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = []
+    for name, tree in MODULES.items():
+        if name == "__init__":  # imports to re-export
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                found += [f"{name} line {node.lineno}: {b}" for b in bound if b not in read]
+    assert found == []

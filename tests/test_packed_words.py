@@ -12,41 +12,10 @@ import random
 
 import pytest
 
+from word_oracle import _conjugator, _cyclic_reduce, _inverse, _reduce
 from mcgcocycles import FreeGroup, Word, conjugator, random_word
 
 GENERA = (2, 9, 64, 130, 200)
-
-
-def _reduce(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for c in letters:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
-def _inverse(letters) -> tuple[int, ...]:
-    return tuple(-c for c in reversed(letters))
-
-
-def _cyclic_reduce(letters) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i, j = i + 1, j - 1
-    return letters[i:j], letters[:i]
-
-
-def _conjugator(w1, w2):
-    """u with w1 = u w2 u^-1 by trying every rotation of the core, or None."""
-    (c1, p1), (c2, p2) = _cyclic_reduce(w1), _cyclic_reduce(w2)
-    if len(c1) != len(c2):
-        return None
-    for r in range(max(len(c2), 1)):
-        if c2[r:] + c2[:r] == c1:
-            return _reduce(p1 + _inverse(c2[:r]) + _inverse(p2))
-    return None
 
 
 def _aliasing_letters(group) -> list[int]:

@@ -18,14 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import word_oracle
 from word_oracle import d_two_gen, project
-from sample_elements import twist_chain
+from sample_elements import handle_chain, twist_chain
 from mcgcocycles import (
     Endo,
     FreeGroup,
     Word,
     compose,
     d,
-    identity_auto,
     in_N,
     inner,
     jablow,
@@ -123,11 +122,11 @@ def test_apply_matches_oracle_on_inverse_images():
 
 
 def _conjugations(group, rng):
-    """(phi, x) for identity_auto, inner(x) for random x and for x = 1, and composites."""
+    """(phi, x) for the identity, inner(x) for random x and for x = 1, and composites."""
     one = group.identity()
     xs = [one] + [random_word(group, rng.randint(1, 30), rng) for _ in range(4)]
     conjs = [inner(x) for x in xs]
-    ident = identity_auto(group)
+    ident = inner(one)
     return [
         (ident, one), *zip(conjs, xs),
         (compose(conjs[1], conjs[2]), xs[1] * xs[2]),
@@ -176,7 +175,7 @@ def test_identity_makes_no_product_and_conjugations_compose_without_applying(mon
     monkeypatch.setattr(endomorphism, "Substitution",
                         lambda *args: kernels.append(args) or kernel(*args))
 
-    ident = identity_auto(F)
+    ident = inner(F.identity())
     assert all(im is gen for im, gen in zip(ident.images, F.generators()))
     assert ident.backward.images == F.generators() and ident.inverse().images == F.generators()
     assert products == []
@@ -202,31 +201,13 @@ def test_random_word_draws_like_the_randint_loop(g):
 WIDTH_GENERA = (2, 5, 63, 64, 100)
 
 
-def _handle_chain(group, handle: int, min_letters: int, rng):
-    """inner(x) after alternating A and B twists of one handle, until an image is long.
-
-    x is a random word off the twisted handle, so every image is
-    conjugated and the seams of zeta cancel across handles, while the
-    preimage of zeta stays short.
-    """
-    g = group.genus
-    catalog = twist_catalog(group)
-    twists = (catalog[handle - 1], catalog[g + handle - 1])
-    phi, k = identity_auto(group), 0
-    while max(map(len, phi.images)) < min_letters:
-        phi, k = compose(phi, twists[k % 2]), k + 1
-    others = [c for c in range(1, 2 * g + 1) if c not in (handle, g + handle)]
-    x = group.from_letters(rng.choice((1, -1)) * rng.choice(others) for _ in range(30))
-    return compose(inner(x), phi)
-
-
 @pytest.mark.parametrize("g", WIDTH_GENERA)
 def test_apply_matches_oracle_on_long_chains_at_every_width(g):
     rng = random.Random(300 + g)
     F = FreeGroup(g)
     assert freegroup._letter_format(F.rank)[0] == (1 if g <= 63 else 2)
     zeta, gen_a, gen_b = F.zeta(), F.a(g), F.b(g)
-    phi = _handle_chain(F, g, 20_000, rng)
+    phi = handle_chain(F, g, 20_000, rng)
     assert max(map(len, phi.images)) >= 20_000
     back = phi.backward
     for w in (zeta, zeta.inverse(), gen_a.inverse(), gen_b.inverse(), gen_a * gen_b):
@@ -236,7 +217,7 @@ def test_apply_matches_oracle_on_long_chains_at_every_width(g):
     pre = back(zeta)
     assert phi(pre) == zeta and len(pre) <= len(zeta) + 60
     # a preimage as long as the images costs their product, so a shorter chain
-    phi = _handle_chain(F, g, 2_000, rng)
+    phi = handle_chain(F, g, 2_000, rng)
     back = phi.backward
     for w in (gen_a, gen_b.inverse(), zeta):
         pre = back(w)

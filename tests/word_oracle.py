@@ -6,6 +6,8 @@ seam.  This module keeps the routes those kernels replaced: every token
 through the regular grammar and ``FreeGroup.letter_code``, and every
 image letter pushed onto one reduction stack.  Both return plain letter
 tuples, reduced here, so the tests can compare them with the package.
+``_reduce``, ``_inverse``, ``_cyclic_reduce`` and ``_conjugator`` are
+the tuple references for the packed ``Word`` kernels.
 ``project`` and ``d_two_gen`` keep the per-handle route to
 ``morita.d``: one reduced projection per handle, a tuple of +-ALPHA and
 +-BETA, and the syllable formula of the ``morita`` module docstring on
@@ -30,6 +32,28 @@ def _reduce(letters) -> tuple[int, ...]:
         else:
             out.append(c)
     return tuple(out)
+
+
+def _inverse(letters) -> tuple[int, ...]:
+    return tuple(-c for c in reversed(letters))
+
+
+def _cyclic_reduce(letters) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return letters[i:j], letters[:i]
+
+
+def _conjugator(w1, w2):
+    """u with w1 = u w2 u^-1 by trying every rotation of the core, or None."""
+    (c1, p1), (c2, p2) = _cyclic_reduce(w1), _cyclic_reduce(w2)
+    if len(c1) != len(c2):
+        return None
+    for r in range(max(len(c2), 1)):
+        if c2[r:] + c2[:r] == c1:
+            return _reduce(p1 + _inverse(c2[:r]) + _inverse(p2))
+    return None
 
 
 def parse(group, text: str) -> tuple[int, ...]:

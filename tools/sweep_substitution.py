@@ -2,17 +2,19 @@
 
     python3 tools/sweep_substitution.py [--out sweep.json] [--repeats 20]
 
-Imports the package from ``src/`` of the checkout this file sits in and
+Imports the package from ``src/`` and ``handle_chain`` from
+``tests/sample_elements.py`` of the checkout this file sits in, and
 uses only the standard library.  For each genus g and image length L,
-phi is inner(x) after alternating A and B twists of handle g, twisted
-until an image has L letters; x is a fixed-seed random word of 30
-letters off that handle, so every image is conjugated and the seams of
-zeta cancel across handles, as they do for a member of N.  ``letters``
-is the number of image letters substituted into phi(zeta), the count
-``bench/tracing.py`` reports for ``endomorphism.call``.  ``first_ns``
-is the best time per letter of a first call, which builds the
-substitution kernel (``freegroup.Substitution``); ``repeat_ns`` of a
-call that finds the kernel built.
+phi is ``handle_chain`` on handle g: inner(x) after alternating A and B
+twists of handle g, twisted until an image has L letters, where x is a
+fixed-seed random word of 30 letters off that handle, so every image is
+conjugated and the seams of zeta cancel across handles, as they do for
+a member of N.  ``letters`` is the number of image letters substituted
+into phi(zeta), the count ``bench/tracing.py`` reports for
+``endomorphism.call``.  ``first_ns`` is the best time per letter of a
+first call, which builds the substitution kernel
+(``freegroup.Substitution``); ``repeat_ns`` of a call that finds the
+kernel built.
 
 The second table, ``parse_rows``, times ``FreeGroup.word`` on the text
 ``str(w)`` of a fixed-seed random reduced word w of ``letters`` letters,
@@ -51,31 +53,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from mcgcocycles import (  # noqa: E402
-    Endo, FreeGroup, compose, conjugator, freegroup, identity_auto, inner, random_word,
-    twist_catalog,
-)
+from mcgcocycles import Endo, FreeGroup, conjugator, freegroup, inner, random_word  # noqa: E402
+from sample_elements import handle_chain  # noqa: E402
 
 GENERA = (2, 5, 12, 64, 200)
 PARSE_GENERA = (2, 5, 9, 12, 64)
 LENGTHS = (100, 1_000, 10_000, 100_000)
 SEED = 9
-
-
-def handle_chain(group: FreeGroup, min_letters: int) -> Endo:
-    """inner(x) after alternating twists of handle g until an image is long."""
-    g = group.genus
-    catalog = twist_catalog(group)
-    twists = (catalog[g - 1], catalog[2 * g - 1])
-    phi, k = identity_auto(group), 0
-    while max(map(len, phi.images)) < min_letters:
-        phi, k = compose(phi, twists[k % 2]), k + 1
-    rng = random.Random(SEED)
-    others = [c for c in range(1, 2 * g + 1) if c not in (g, 2 * g)]
-    x = group.from_letters(rng.choice((1, -1)) * rng.choice(others) for _ in range(30))
-    return compose(inner(x), phi)
 
 
 def best_ns(call, letters: int, repeats: int) -> float:
@@ -93,7 +80,7 @@ def sweep(repeats: int) -> list[dict]:
         group = FreeGroup(g)
         zeta = group.zeta()
         for length in LENGTHS:
-            phi = handle_chain(group, length)
+            phi = handle_chain(group, g, length, random.Random(SEED))
             letters = sum(len(phi.images[abs(c) - 1]) for c in zeta.letters)
             first = best_ns(lambda: Endo(group, phi.images)(zeta), letters, repeats)
             phi(zeta)
