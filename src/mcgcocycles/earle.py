@@ -20,6 +20,8 @@ from .homology import mat_vec
 from .endomorphism import Endo, require_membership
 from .morita import morita_f
 
+__all__ = ["QVector", "a0", "coboundary_a0", "earle_psi", "over_canonical_denominator"]
+
 QVector = tuple[Fraction, ...]
 
 

@@ -35,6 +35,11 @@ from .freegroup import (FreeGroup, Substitution, Word, commutator, conjugator, d
                         random_word)
 from .homology import Matrix, Vector, abelianize, dual, mat_vec, symplectic_inverse
 
+__all__ = ["Auto", "Endo", "MembershipError", "NWitness", "compose", "from_mapping", "in_M_g1",
+           "in_N", "inner", "jablow", "load_automorphism", "random_element",
+           "require_membership", "save_automorphism", "to_mapping", "twist_catalog",
+           "zeta_power_exponent"]
+
 
 class MembershipError(ValueError):
     """Raised when an endomorphism does not conjugate zeta to itself.
@@ -52,7 +57,7 @@ class Endo:
 
     ``images`` lists the images of A_1..A_g, B_1..B_g in that order.
     Instances are immutable in spirit; the only mutations are internal
-    caches of the membership record (see ``in_N``) and of the
+    caches of the membership record (see ``require_membership``) and of the
     substitution kernel, which are derived data.
 
     Applied to a word other than a single generator, it runs
@@ -75,7 +80,7 @@ class Endo:
                 raise ValueError("generator images must be words of the same genus")
         self.group = group
         self.images = imgs
-        self._member: object = None  # None unknown, False no, else the NWitness
+        self._member: Optional[NWitness] = None  # built by require_membership
         self._table: Optional[Substitution] = None  # built by the first call
 
     def __call__(self, w: Word) -> Word:
@@ -281,9 +286,9 @@ class NWitness:
     ``conjugator`` is a u with phi(zeta) = u zeta u^-1; ``rho`` and
     ``f_tilde`` (see morita.f_tilde) come from one walk per generator
     image; ``rho_inv`` and ``f`` are computed on first use.  The
-    constructor checks nothing: ``in_N`` checks u, builds the record and
-    caches it on phi.  It holds no reference back to phi, so the two form
-    no cycle.
+    constructor checks nothing: ``require_membership`` checks u, builds
+    the record and caches it on phi.  It holds no reference back to phi,
+    so the two form no cycle.
     """
 
     conjugator: Word
@@ -309,49 +314,53 @@ def in_M_g1(phi: Endo) -> bool:
     return phi(zeta) == zeta
 
 
-def in_N(phi: Endo) -> Optional[NWitness]:
-    """Membership test for N: does phi send zeta into its conjugacy class?
-
-    Returns the element's record on success, None otherwise.  The result
-    is cached on the endomorphism, and phi is applied to zeta once.  The
-    witness u found for phi(zeta) is checked against u zeta u^-1 before
-    the record is built.
-
-    >>> member = in_N(jablow(FreeGroup(3)))
-    >>> str(member.conjugator), member.f_tilde
-    ('B3 B2 B1', (-2, -2, -2, -8, -6, -4))
-    """
-    if phi._member is None:
-        zeta = phi.group.zeta()
-        image = phi(zeta)
-        u = conjugator(image, zeta)
-        if u is None:
-            phi._member = False
-            return None
-        if image != zeta.conjugated_by(u):
-            raise ValueError("witness does not conjugate zeta to its image")
-        turning, columns = zip(*map(d_and_class, phi.images))
-        phi._member = NWitness(u, tuple(zip(*columns)), dual(turning))
-    return phi._member or None
-
-
 # a non-member's error shows this many letters of the image of zeta at most
 _SHOWN_LETTERS = 40
 
 
 def require_membership(phi: Endo) -> NWitness:
-    """The record of phi, raising MembershipError for non-members."""
-    witness = in_N(phi)
+    """The record of phi, raising MembershipError for non-members.
+
+    phi is applied to zeta once per call until a record is built; the
+    record is then cached on the endomorphism.  The witness u found for
+    phi(zeta) is checked against u zeta u^-1 before the record is built;
+    a non-member's error shows the cyclically reduced image of zeta.
+    """
+    witness = phi._member
     if witness is None:
-        core, _ = phi(phi.group.zeta()).cyclic_reduce()
-        head = phi.group.from_letters(islice(core, _SHOWN_LETTERS))
-        more = " ..." if len(core) > _SHOWN_LETTERS else ""
-        raise MembershipError(
-            "endomorphism does not conjugate the boundary word; cyclically reduced "
-            f"image of zeta ({len(core)} letters): {head}{more}",
-            core,
-        )
+        zeta = phi.group.zeta()
+        image = phi(zeta)
+        u = conjugator(image, zeta)
+        if u is None:
+            core, _ = image.cyclic_reduce()
+            head = phi.group.from_letters(islice(core, _SHOWN_LETTERS))
+            more = " ..." if len(core) > _SHOWN_LETTERS else ""
+            raise MembershipError(
+                "endomorphism does not conjugate the boundary word; cyclically reduced "
+                f"image of zeta ({len(core)} letters): {head}{more}",
+                core,
+            )
+        if image != zeta.conjugated_by(u):
+            raise ValueError("witness does not conjugate zeta to its image")
+        turning, columns = zip(*map(d_and_class, phi.images))
+        witness = phi._member = NWitness(u, tuple(zip(*columns)), dual(turning))
     return witness
+
+
+def in_N(phi: Endo) -> Optional[NWitness]:
+    """Membership test for N: does phi send zeta into its conjugacy class?
+
+    Returns the element's record (``require_membership``) on success,
+    None otherwise.
+
+    >>> member = in_N(jablow(FreeGroup(3)))
+    >>> str(member.conjugator), member.f_tilde
+    ('B3 B2 B1', (-2, -2, -2, -8, -6, -4))
+    """
+    try:
+        return require_membership(phi)
+    except MembershipError:
+        return None
 
 
 def zeta_power_exponent(w: Word) -> Optional[int]:

@@ -62,6 +62,8 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Optional
 
+__all__ = ["FreeGroup", "Word", "commutator", "conjugator", "random_word"]
+
 
 _TOKEN_RE = re.compile(r"([ABab])([1-9][0-9]*)\Z")
 

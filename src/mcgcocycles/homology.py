@@ -28,6 +28,9 @@ from operator import lshift, mul
 
 from .freegroup import Word
 
+__all__ = ["Matrix", "Vector", "abelianize", "dual", "induced_matrix", "intersection",
+           "is_symplectic", "mat_vec", "symplectic_inverse"]
+
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 

@@ -40,7 +40,8 @@ This expression is forced by three facts: the twisted cocycle rule,
 f_tilde(conjugation by x) = 2 [x], and the requirement that conjugations
 map to (2 - 2g) [x].  It depends only on the mapping class of phi, not
 on the witness, since witnesses differ by powers of zeta and [zeta] = 0;
-so ``morita_f`` takes no witness and uses the one ``in_N`` finds.
+so ``morita_f`` takes no witness and uses the one that
+``require_membership`` finds.
 
 All values are integer vectors in the basis A_1..A_g, B_1..B_g.
 """
@@ -50,6 +51,8 @@ from __future__ import annotations
 from .freegroup import Word, d_and_class
 from .homology import Vector
 from .endomorphism import Endo, require_membership
+
+__all__ = ["d", "f_tilde", "f_tilde_at", "morita_f"]
 
 
 def d(w: Word) -> int:
@@ -79,7 +82,7 @@ def f_tilde(phi: Endo) -> Vector:
 
     Evaluating the functional on the 2g generators determines it, d of a
     single generator being 0.  The value is computed once per element,
-    by ``in_N`` (``NWitness.f_tilde``).
+    by ``require_membership`` (``NWitness.f_tilde``).
     """
     return require_membership(phi).f_tilde
 

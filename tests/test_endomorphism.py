@@ -1,9 +1,14 @@
+import contextlib
 import gc
+import io
 import json
+import os
 import random
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import word_oracle
 from matrix_oracle import identity_matrix
@@ -12,8 +17,11 @@ from mcgcocycles import (
     Auto,
     Endo,
     FreeGroup,
+    MembershipError,
     Word,
     compose,
+    earle_psi,
+    f_tilde,
     from_mapping,
     in_M_g1,
     in_N,
@@ -22,6 +30,7 @@ from mcgcocycles import (
     is_symplectic,
     jablow,
     load_automorphism,
+    morita_f,
     random_element,
     random_word,
     save_automorphism,
@@ -485,3 +494,68 @@ def test_mapping_validation_errors(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ValueError):
         load_automorphism(str(path))
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_TOKENS = [f"{kind}{k}" for kind in "ABab" for k in (1, 2, 3, 4, 10)] + ["1", "A0", "C1", "A01"]
+_WORD_TEXT = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join), st.text(max_size=6))
+
+
+@st.composite
+def _tables(draw, genus):
+    """A full image table at ``genus`` when it is small, else junk keys and values."""
+    if isinstance(genus, int) and 2 <= genus <= 4 and draw(st.booleans()):
+        gens = [f"{kind}{k}" for kind in "AB" for k in range(1, genus + 1)]
+        return draw(st.fixed_dictionaries({t: _WORD_TEXT for t in gens}))
+    keys = st.one_of(st.sampled_from(_TOKENS), st.text(max_size=3))
+    return draw(st.one_of(st.dictionaries(keys, st.one_of(_WORD_TEXT, _JUNK), max_size=9),
+                          st.lists(_WORD_TEXT, max_size=3), _JUNK))
+
+
+@st.composite
+def _documents(draw):
+    """JSON-like automorphism documents: members' tables, some with one entry
+    spoiled; random tables at a good or a junk genus; and junk that is no mapping."""
+    kind = draw(st.sampled_from(("member", "table", "junk")))
+    if kind == "junk":
+        return draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=3)))
+    if kind == "member":
+        g = draw(st.integers(2, 4))
+        doc = to_mapping(random_element(FreeGroup(g), 3, seed=draw(st.integers(0, 99))))
+        if draw(st.booleans()):
+            field = draw(st.sampled_from(("images", "inverse_images")))
+            token = draw(st.sampled_from(sorted(doc[field])))
+            doc[field][token] = draw(st.one_of(_WORD_TEXT, _JUNK))
+        if draw(st.booleans()):
+            del doc["inverse_images"]
+        return doc
+    genus = draw(st.one_of(st.integers(1, 5), _JUNK))
+    doc = {"genus": genus, "images": draw(_tables(genus))}
+    if draw(st.booleans()):
+        doc["inverse_images"] = draw(_tables(genus))
+    for key in draw(st.lists(st.sampled_from(("genus", "images")), max_size=2)):
+        doc.pop(key, None)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+def test_no_malformed_document_escapes_as_a_traceback(doc):
+    """from_mapping raises only ValueError, the cocycles of what it accepts
+    only MembershipError, and ``eval`` of the file exits 0, 2 or 3."""
+    try:
+        phi = from_mapping(doc)
+    except ValueError:
+        phi = None
+    if phi is not None:
+        for cocycle in (f_tilde, morita_f, earle_psi):
+            try:
+                cocycle(phi)
+            except MembershipError:
+                pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["eval", "--in", path, "--format", "structured"]) in (0, 2, 3)

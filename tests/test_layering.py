@@ -1,6 +1,7 @@
 """The package's modules import one another one way, only freegroup reads packed words,
 only endomorphism reads an element's caches, and no module but ``__init__`` imports a
-name it never reads."""
+name it never reads.  Each public name is declared once, in its module's ``__all__``,
+which ``__init__`` republishes by star imports, the only ones in the package."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -75,4 +76,50 @@ def test_no_module_imports_a_name_it_never_reads():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 found += [f"{name} line {node.lineno}: {b}" for b in bound if b not in read]
+    assert found == []
+
+
+def _star_imports(tree: ast.AST) -> list[ast.ImportFrom]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)]
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module binds by ``def``, ``class`` or assignment at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _declared(tree: ast.Module):
+    """The module's literal ``__all__``, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_each_republished_module_declares_names_it_defines():
+    republished = set().union(*map(_sibling_imports, _star_imports(MODULES["__init__"])))
+    assert republished >= {"freegroup", "homology", "endomorphism", "morita", "earle"}
+    found = []
+    for name in sorted(republished):
+        declared = _declared(MODULES[name])
+        if declared is None:
+            found.append(f"{name}: no __all__")
+            continue
+        defined = _top_level_names(MODULES[name])
+        found += [f"{name}: {n} is declared but not defined" for n in declared if n not in defined]
+    assert found == []
+
+
+def test_no_module_but_init_uses_a_star_import():
+    found = [f"{name} line {node.lineno}" for name, tree in MODULES.items() if name != "__init__"
+             for node in _star_imports(tree)]
     assert found == []

@@ -22,6 +22,7 @@ from sample_elements import handle_chain, twist_chain
 from mcgcocycles import (
     Endo,
     FreeGroup,
+    MembershipError,
     Word,
     compose,
     d,
@@ -30,6 +31,7 @@ from mcgcocycles import (
     jablow,
     random_element,
     random_word,
+    require_membership,
     twist_catalog,
 )
 from mcgcocycles import endomorphism, freegroup
@@ -490,6 +492,15 @@ def test_in_N_applies_phi_to_zeta_once_and_keeps_the_check(monkeypatch):
             assert phi(F.zeta()) == F.zeta().conjugated_by(witness.conjugator)
     F = FreeGroup(2)
     outsider = _CountingEndo(F, (F.a(1), F.a(2), F.b(1), F.identity()))
+    outsider.calls = 0
+    # the error text comes from the one image of zeta the check computed
+    with pytest.raises(MembershipError) as err:
+        require_membership(outsider)
+    assert outsider.calls == 1 and err.value.core == F.word("A1 B1 a1 b1")
+    assert str(err.value) == (
+        "endomorphism does not conjugate the boundary word; cyclically reduced "
+        "image of zeta (4 letters): A1 B1 a1 b1"
+    )
     outsider.calls = 0
     assert in_N(outsider) is None and outsider.calls == 1
     # a wrong word from the conjugacy search is caught, and nothing is cached
