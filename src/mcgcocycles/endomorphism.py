@@ -76,7 +76,7 @@ class Endo:
                 f"expected {group.rank} generator images, got {len(imgs)}"
             )
         for im in imgs:
-            if not isinstance(im, Word) or im.group != group:
+            if not isinstance(im, Word) or im.group is not group and im.group != group:
                 raise ValueError("generator images must be words of the same genus")
         self.group = group
         self.images = imgs
@@ -245,7 +245,7 @@ def inner(x: Word) -> Auto:
     return _Conjugation.by(x, x.inverse())
 
 
-@lru_cache(maxsize=16)  # genera kept, as for the alphabets
+@lru_cache(maxsize=16)  # genera kept, as for the groups
 def jablow(group: FreeGroup) -> Auto:
     """The hyperelliptic-type involution on the surface group.
 
@@ -461,7 +461,7 @@ def random_element(group: FreeGroup, word_budget: int = 4, seed: int = 0) -> Aut
 def to_mapping(phi: Endo) -> dict:
     """Plain-data form: genus, images, and inverse images when certified."""
     group = phi.group
-    keys = group.alphabet.tokens
+    keys = group.tokens
     doc: dict = {
         "genus": group.genus,
         "images": {keys[k]: str(im) for k, im in enumerate(phi.images, 1)},
@@ -494,7 +494,7 @@ def _is_generator_key(codes: dict, key: object) -> bool:
 def _parse_image_table(group: FreeGroup, obj: object, field: str) -> tuple[Word, ...]:
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be a mapping of generator tokens to words")
-    codes, tokens, rank = group.alphabet.codes, group.alphabet.tokens, group.rank
+    codes, tokens, rank = group.codes, group.tokens, group.rank
     extra = [key for key in obj if not _is_generator_key(codes, key)]
     missing = rank - (len(obj) - len(extra))
     if extra or missing:

@@ -22,8 +22,8 @@ never a caller obligation.  ``Word.letters`` decodes the bytes on read.
 
 Word text syntax: tokens separated by whitespace, ``A3``/``B3`` for
 generators, ``a3``/``b3`` for their inverses, and the literal ``1`` for
-the empty word.  One pair of tables per genus holds the text form in
-both directions, filled as tokens and codes are first asked for.
+the empty word.  The one ``FreeGroup`` object of a genus holds the text
+form in two tables, filled as tokens and codes are first asked for.
 
 Text takes one of two routes.  The form ``str(Word)`` writes at genus
 <= 9, two-character tokens joined by single spaces, is decoded whole:
@@ -200,81 +200,6 @@ class _Table(dict):
         return value
 
 
-class _Alphabet:
-    """One genus's ``codes`` by token (``"1"`` is 0), ``tokens`` by code, generators and zeta.
-
-    The tables hold only the keys asked for, at most 4g + 1 each, and the
-    words, the byte tables of the text decode and of ``_block_sums`` are
-    built on first use, so a large genus costs nothing unasked.
-    """
-
-    def __init__(self, group: "FreeGroup"):
-        self.group = group
-        self.codes = _Table(self._code, {"1": 0})
-        self.tokens = _Table(self._token)
-
-    def _code(self, token: str) -> int:
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise ValueError(f"malformed generator token {reprlib.repr(token)}")
-        name, index = m.groups()
-        g = self.group.genus
-        if len(index) > len(str(g)):  # too large, and int() refuses over 4300 digits
-            raise ValueError(f"generator index {reprlib.repr(index)[1:-1]} out of range 1..{g}")
-        return self.group.letter_code(name.upper(), int(index), 1 if name.isupper() else -1)
-
-    def _token(self, code: int) -> str:
-        g = self.group.genus
-        if not isinstance(code, int) or not 1 <= abs(code) <= 2 * g:
-            raise ValueError(f"letter code {code} out of range for genus {g}")
-        kind, index = ("A", abs(code)) if abs(code) <= g else ("B", abs(code) - g)
-        return f"{kind if code > 0 else kind.lower()}{index}"
-
-    @cached_property
-    def letter_bytes(self) -> bytes:
-        """Translate table from a token's index byte to its letter code as a signed byte.
-
-        Filled for the valid two-character tokens (genus <= 9 has no
-        other); every other index, a malformed token among them, maps to 0.
-        """
-        code = self.group.letter_code
-        return _byte_table(
-            (bits | i, code(kind.upper(), i, 1 if kind.isupper() else -1) & 0xFF)
-            for kind, bits in _KIND_NIBBLES.items()
-            for i in range(1, min(self.group.genus, _SHORT_GENUS) + 1)
-        )
-
-    @cached_property
-    def generators(self) -> tuple["Word", ...]:
-        return tuple(Word(self.group, (code,)) for code in range(1, self.group.rank + 1))
-
-    @cached_property
-    def zeta(self) -> "Word":
-        g = self.group.genus
-        return Word(self.group, [c for k in range(1, g + 1) for c in (k, g + k, -k, -g - k)])
-
-    @cached_property
-    def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes, bytes, bytes, int], ...]:
-        """Per handle k: the bytes that are no letter of it, two digit tables, a_k, A_k and b_k.
-
-        The digit tables send every B_k to the base-4 digit 1 and b_k to 2,
-        then the two swapped, and every other byte to 0.
-        """
-        g = self.group.genus
-        # the B_k are the bytes g+1..2g and the b_k the bytes 256-2g..255-g
-        to_p1 = b"0" * (g + 1) + b"1" * g + b"0" * (255 - 4 * g) + b"2" * g + b"0" * g
-        to_p2 = to_p1.translate(bytes.maketrans(b"12", b"21"))
-        return tuple(
-            (bytes(c for c in range(256) if c not in {k, -k & 0xFF, g + k, -(g + k) & 0xFF}),
-             to_p1, to_p2, bytes([-k & 0xFF]), bytes([k]), -(g + k) & 0xFF)
-            for k in range(1, g + 1)
-        )
-
-
-# one alphabet per genus, shared by the equal FreeGroup objects built while it is cached
-_alphabet = lru_cache(maxsize=16)(_Alphabet)
-
-
 def _canonical_codes(text: str, table: bytes) -> Optional[bytes]:
     """The letters of canonical text as signed bytes, or None for any other text.
 
@@ -314,24 +239,20 @@ def _has_cancelling_pair(codes: bytes) -> bool:
 
 
 class FreeGroup:
-    """Ambient context: the free group of rank 2g, g >= 2.
+    """The free group of rank 2g, g >= 2: one object per genus, which carries its tables.
 
-    Instances compare equal by genus, so words built from two separate
-    ``FreeGroup(3)`` objects interoperate; they share one ``alphabet``.
+    ``FreeGroup(g)`` is the group cached for g (the last 16 genera are
+    kept).  Groups compare, hash, pickle and copy by genus, so one built
+    again after eviction equals the old one and their words interoperate.
+    ``codes`` (token -> signed code, ``"1"`` is 0) and ``tokens`` (code ->
+    token) hold only the keys asked for, at most 4g + 1 each; the other
+    tables, the generators and zeta are built on first use.
     """
 
-    __slots__ = ("genus", "alphabet", "width", "code")
-
-    def __init__(self, genus: int):
+    def __new__(cls, genus: int) -> "FreeGroup":
         if not isinstance(genus, int) or genus < 2:
             raise ValueError(f"genus must be an integer >= 2, got {reprlib.repr(genus)}")
-        self.genus = genus
-        self.width, self.code = _letter_format(2 * genus)  # of a packed letter
-        self.alphabet = _alphabet(self)
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.genus
+        return _group(genus)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeGroup) and other.genus == self.genus
@@ -342,7 +263,7 @@ class FreeGroup:
     def __repr__(self) -> str:
         return f"FreeGroup({self.genus})"
 
-    def __reduce__(self):  # by genus: the alphabet is a per-process cache
+    def __reduce__(self):  # by genus, so a round trip gives the cached group
         return FreeGroup, (self.genus,)
 
     # -- letter encoding -------------------------------------------------
@@ -359,6 +280,54 @@ class FreeGroup:
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         code = index if kind == "A" else self.genus + index
         return sign * code
+
+    def _code(self, token: str) -> int:
+        m = _TOKEN_RE.match(token)
+        if m is None:
+            raise ValueError(f"malformed generator token {reprlib.repr(token)}")
+        name, index = m.groups()
+        g = self.genus
+        if len(index) > len(str(g)):  # too large, and int() refuses over 4300 digits
+            raise ValueError(f"generator index {reprlib.repr(index)[1:-1]} out of range 1..{g}")
+        return self.letter_code(name.upper(), int(index), 1 if name.isupper() else -1)
+
+    def _token(self, code: int) -> str:
+        g = self.genus
+        if not isinstance(code, int) or not 1 <= abs(code) <= 2 * g:
+            raise ValueError(f"letter code {code} out of range for genus {g}")
+        kind, index = ("A", abs(code)) if abs(code) <= g else ("B", abs(code) - g)
+        return f"{kind if code > 0 else kind.lower()}{index}"
+
+    @cached_property
+    def letter_bytes(self) -> bytes:
+        """Translate table from a token's index byte to its letter code as a signed byte.
+
+        Filled for the valid two-character tokens (genus <= 9 has no
+        other); every other index, a malformed token among them, maps to 0.
+        """
+        code = self.letter_code
+        return _byte_table(
+            (bits | i, code(kind.upper(), i, 1 if kind.isupper() else -1) & 0xFF)
+            for kind, bits in _KIND_NIBBLES.items()
+            for i in range(1, min(self.genus, _SHORT_GENUS) + 1)
+        )
+
+    @cached_property
+    def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes, bytes, bytes, int], ...]:
+        """Per handle k: the bytes that are no letter of it, two digit tables, a_k, A_k and b_k.
+
+        The digit tables send every B_k to the base-4 digit 1 and b_k to 2,
+        then the two swapped, and every other byte to 0.
+        """
+        g = self.genus
+        # the B_k are the bytes g+1..2g and the b_k the bytes 256-2g..255-g
+        to_p1 = b"0" * (g + 1) + b"1" * g + b"0" * (255 - 4 * g) + b"2" * g + b"0" * g
+        to_p2 = to_p1.translate(bytes.maketrans(b"12", b"21"))
+        return tuple(
+            (bytes(c for c in range(256) if c not in {k, -k & 0xFF, g + k, -(g + k) & 0xFF}),
+             to_p1, to_p2, bytes([-k & 0xFF]), bytes([k]), -(g + k) & 0xFF)
+            for k in range(1, g + 1)
+        )
 
     # -- word constructors ------------------------------------------------
 
@@ -377,7 +346,11 @@ class FreeGroup:
 
     def generators(self) -> tuple["Word", ...]:
         """All 2g generators, A_1..A_g then B_1..B_g; built once per genus."""
-        return self.alphabet.generators
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple["Word", ...]:
+        return tuple(Word(self, (code,)) for code in range(1, self.rank + 1))
 
     def word(self, text: str) -> "Word":
         """Parse word text.
@@ -405,16 +378,31 @@ class FreeGroup:
         """
         codes = None
         if self.genus <= _SHORT_GENUS:
-            codes = _canonical_codes(text, self.alphabet.letter_bytes)
+            codes = _canonical_codes(text, self.letter_bytes)
         if codes is None:
-            return Word(self, filter(None, map(self.alphabet.codes.__getitem__, text.split())))
+            return Word(self, filter(None, map(self.codes.__getitem__, text.split())))
         if _has_cancelling_pair(codes):
             return Word(self, memoryview(codes).cast("b"))
         return Word._from_reduced(self, codes)
 
     def zeta(self) -> "Word":
         """The boundary word [A_1, B_1] ... [A_g, B_g], 4g letters; built once per genus."""
-        return self.alphabet.zeta
+        return self._zeta
+
+    @cached_property
+    def _zeta(self) -> "Word":
+        g = self.genus
+        return Word(self, [c for k in range(1, g + 1) for c in (k, g + k, -k, -g - k)])
+
+
+@lru_cache(maxsize=16)
+def _group(genus: int) -> FreeGroup:
+    """The group of a valid genus, built with its two letter tables when it is not cached."""
+    group = object.__new__(FreeGroup)
+    group.genus, group.rank = genus, 2 * genus
+    group.width, group.code = _letter_format(2 * genus)  # of a packed letter
+    group.codes, group.tokens = _Table(group._code, {"1": 0}), _Table(group._token)
+    return group
 
 
 class Word:
@@ -528,7 +516,7 @@ class Word:
         return hash((self.group, self.packed))
 
     def __str__(self) -> str:
-        return " ".join(map(self.group.alphabet.tokens.__getitem__, self.view)) or "1"
+        return " ".join(map(self.group.tokens.__getitem__, self.view)) or "1"
 
     def __repr__(self) -> str:
         return f"<Word {self} in {self.group!r}>"
@@ -680,7 +668,7 @@ def _block_sums(w: Word) -> tuple[int, tuple[int, ...]]:
     bit t of the places.  No word makes the masks grow.
     """
     packed, parts, alpha, beta, fixed = w.packed, [], [], [], 0
-    for delete, to_p1, to_p2, down_a, up_a, down_b in w.group.alphabet.handle_tables:
+    for delete, to_p1, to_p2, down_a, up_a, down_b in w.group.handle_tables:
         proj = packed.translate(None, delete)
         p1, p2 = proj.translate(to_p1, down_a), proj.translate(to_p2, up_a)
         a = len(p1) - len(p2)

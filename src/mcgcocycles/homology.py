@@ -24,7 +24,7 @@ tuples; vectors are flat tuples.
 from __future__ import annotations
 
 from itertools import chain
-from operator import lshift, mul
+from operator import lshift, mul, neg
 
 from .freegroup import Word
 
@@ -127,14 +127,8 @@ def symplectic_inverse(m: Matrix) -> Matrix:
     """
     if not is_symplectic(m):
         raise ValueError("matrix is not symplectic, so -J m^T J is not its inverse")
-    n = len(m)
-    g = n // 2
-    # entry (i, j) is m[j'][i'] with indices shifted by g, negated across blocks
-    return tuple(
-        tuple(
-            m[(j + g) % n][(i + g) % n] if (i < g) == (j < g)
-            else -m[(j + g) % n][(i + g) % n]
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    g = len(m) // 2
+    cols = tuple(zip(*m))
+    # [D^T, -B^T] from the columns g..2g-1 of m, then [-C^T, A^T] from the columns 0..g-1
+    return (tuple(c[g:] + tuple(map(neg, c[:g])) for c in cols[g:])
+            + tuple(tuple(map(neg, c[g:])) + c[:g] for c in cols[:g]))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import word_oracle
 from matrix_oracle import identity_matrix
 from sample_elements import twist_chain
+from mcgcocycles import endomorphism
 from mcgcocycles import (
     Auto,
     Endo,
@@ -113,7 +114,7 @@ def test_one_changed_letter_in_either_table_is_rejected(table, tmp_path):
     tables[table][longest] = _one_letter_inverted(tables[table][longest])
     with pytest.raises(ValueError, match="not mutually inverse"):
         Auto(F, tables["images"], tables["inverse_images"])
-    doc[table][F.alphabet.tokens[longest + 1]] = str(tables[table][longest])
+    doc[table][F.tokens[longest + 1]] = str(tables[table][longest])
     bad.write_text(json.dumps(doc))
     assert main(["eval", "--in", str(bad)]) == 2
 
@@ -335,6 +336,9 @@ def test_zeta_power_exponent():
     assert zeta_power_exponent(z ** -3) == -3
     assert zeta_power_exponent(F.a(1)) is None
     assert zeta_power_exponent(F.word("A1 B1")) is None
+    # 4g and 8g letters, the lengths of zeta^+-1 and zeta^+-2, but no power of zeta
+    assert zeta_power_exponent(F.a(1) ** 8) is None
+    assert zeta_power_exponent(F.word("B1 a1 b1 A2 B2 a2 b2 A1") ** 2) is None
 
 
 def test_twist_catalog_shape_and_certificates():
@@ -428,6 +432,30 @@ def test_random_element_budget_zero_is_identity():
     assert random_element(F, 0, seed=5) == inner(F.identity())
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_random_element_stops_growing_past_1500_letters(seed, monkeypatch):
+    """A budget of 10^6 factors ends at the first product with an image over 1500 letters."""
+    products, real = [], endomorphism.compose
+
+    def checked(outer, inner):
+        # fails at once, before the images grow further, if the cap lets the loop go on
+        assert max(map(len, outer.images)) <= 1500, "a product past the cap was composed"
+        products.append(real(outer, inner))
+        return products[-1]
+
+    monkeypatch.setattr(endomorphism, "compose", checked)
+    phi = random_element(FreeGroup(2), 10**6, seed=seed)
+    assert phi is products[-1] and max(map(len, phi.images)) > 1500
+
+
+def test_maps_of_different_genera_do_not_mix():
+    phi, psi = twist_catalog(FreeGroup(2))[0], twist_catalog(FreeGroup(3))[0]
+    with pytest.raises(ValueError, match=r"^genus mismatch: FreeGroup\(3\) vs FreeGroup\(2\)$"):
+        phi(FreeGroup(3).a(1))
+    with pytest.raises(ValueError, match="^genus mismatch in composition$"):
+        compose(phi, psi)
+
+
 def test_mapping_round_trip(tmp_path):
     F = FreeGroup(3)
     phi = compose(jablow(F), twist_catalog(F)[2])
@@ -445,7 +473,7 @@ def test_mapping_round_trip(tmp_path):
 def test_mapping_of_a_composite_writes_the_composed_inverse():
     F = FreeGroup(3)
     p1, p2 = random_element(F, 4, seed=21), random_element(F, 4, seed=22)
-    keys = F.alphabet.tokens
+    keys = F.tokens
     want = {keys[k]: str(p2.backward(im)) for k, im in enumerate(p1.backward.images, 1)}
     doc = to_mapping(compose(p1, p2))
     assert doc["inverse_images"] == want

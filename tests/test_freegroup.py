@@ -6,7 +6,7 @@ import time
 import pytest
 
 from mcgcocycles import FreeGroup, Word, commutator, conjugator, random_word
-from mcgcocycles import verify
+from mcgcocycles import freegroup, verify
 from mcgcocycles.verify import failures, run_checks, sampler
 
 
@@ -16,6 +16,38 @@ def test_genus_validation():
     with pytest.raises(ValueError):
         FreeGroup(0)
     assert FreeGroup(2).rank == 4
+
+
+def test_one_group_object_per_cached_genus():
+    F = FreeGroup(3)
+    assert FreeGroup(3) is F and FreeGroup(2) is not F
+    for twin in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
+        assert twin is F
+
+
+def test_group_built_again_after_eviction_equals_the_old_one():
+    F = FreeGroup(3)
+    w = F.word("A1 B2 a3")
+    maxsize = freegroup._group.cache_info().maxsize
+    for g in range(1000, 1000 + maxsize):
+        FreeGroup(g)
+    assert freegroup._group.cache_info().currsize <= maxsize
+    G = FreeGroup(3)
+    assert G is not F and G == F and hash(G) == hash(F)
+    assert w * G.word("A3 b2") == G.a(1) and str(G.b(3) * w) == "B3 A1 B2 a3"
+    assert w == G.word(str(w)) and hash(w) == hash(G.word(str(w)))
+
+
+def test_letter_code_and_token_table_refuse_what_is_no_letter():
+    F = FreeGroup(2)
+    with pytest.raises(ValueError, match="^generator kind must be 'A' or 'B', got 'C'$"):
+        F.letter_code("C", 1)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 0$"):
+        F.letter_code("A", 1, 0)
+    for bad in (0, 5, -5, 1.5):
+        with pytest.raises(ValueError, match=f"^letter code {bad} out of range for genus 2$"):
+            F.tokens[bad]
+        assert bad not in F.tokens
 
 
 def test_parse_and_format():
@@ -219,11 +251,11 @@ def test_cyclic_reduce_contract_randomized():
 def test_pickle_and_copy_round_trip():
     F = FreeGroup(3)
     G = pickle.loads(pickle.dumps(F))
-    assert G == F and hash(G) == hash(F) and G.alphabet is F.alphabet
+    assert G == F and hash(G) == hash(F) and G is F
     for w in (F.zeta(), F.identity(), F.word("A1 b2 B3 a1"), *F.generators()):
         for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert type(twin) is Word and twin == w and hash(twin) == hash(w)
-            assert str(twin) == str(w) and twin.group.alphabet is F.alphabet
+            assert str(twin) == str(w) and twin.group is F
     # a word that refers to the group of another word keeps that group on a round trip
     pair = pickle.loads(pickle.dumps((F.a(1), F.b(2))))
     assert pair == (F.a(1), F.b(2)) and pair[0] * pair[1] == F.word("A1 B2")

@@ -295,3 +295,13 @@ def test_invert_unimodular_det_minus_one():
         tuple(-1 if i == j else 0 for j in range(6)) for i in range(6)
     )
     assert invert_unimodular(neg) == neg
+
+
+def test_shapes_that_fit_no_genus_are_refused():
+    with pytest.raises(ValueError, match="^odd length 3$"):
+        dual((1, 2, 3))
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        mat_vec(((1, 2), (3, 4)), (1, 2, 3))
+    # J with a third column, and a 1 x 1 matrix: the packed test alone would pass both
+    assert is_symplectic(((0, 1, 5), (-1, 0, 7))) is False
+    assert is_symplectic(((1,),)) is False

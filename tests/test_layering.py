@@ -58,7 +58,8 @@ def _attribute_uses(attrs: tuple[str, ...], owner: str) -> list[str]:
 
 
 def test_only_freegroup_reads_the_packed_encoding():
-    assert _attribute_uses(("packed", "width"), "freegroup") == []
+    assert _attribute_uses(("packed", "width", "code", "letter_bytes", "handle_tables"),
+                           "freegroup") == []
 
 
 def test_only_endomorphism_reads_an_elements_caches():

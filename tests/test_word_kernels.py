@@ -332,9 +332,9 @@ def _text(g: int):
 
 
 def _assert_tables_hold_only_valid_keys(F):
-    for token, code in F.alphabet.codes.items():
+    for token, code in F.codes.items():
         assert word_oracle.parse(F, token) == ((code,) if code else ())
-    for code, token in F.alphabet.tokens.items():
+    for code, token in F.tokens.items():
         assert word_oracle.parse(F, token) == (code,)
 
 
@@ -373,7 +373,7 @@ def test_parser_above_the_table_genus_and_bounded_cache():
     F = FreeGroup(257)
     text = f"A{F.genus} b1 B1 a{F.genus} B{F.genus}"
     assert F.word(text).letters == word_oracle.parse(F, text) == (2 * F.genus,)
-    maxsize = freegroup._alphabet.cache_info().maxsize
+    maxsize = freegroup._group.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
 
 
@@ -427,7 +427,7 @@ def test_printed_words_take_the_whole_text_decode_up_to_genus_9(g, monkeypatch):
 
     monkeypatch.setattr(freegroup, "_canonical_codes", spy)
     if g <= 9:
-        monkeypatch.setattr(F.alphabet, "codes", _Tripwire())
+        monkeypatch.setattr(F, "codes", _Tripwire())
     for w in words:
         assert F.word(str(w)) == w
         # a cancelling pair at the join still decodes whole, then takes the stack pass
@@ -467,7 +467,7 @@ def test_cancelling_pair_detector_at_every_position_and_letter_byte():
                 letters = _reduced_with(F, {i: c, i + 1: follower}, 40, rng)
                 packed = bytes(x & 0xFF for x in letters)
                 assert freegroup._has_cancelling_pair(packed) is cancels, (letters, i)
-                text = " ".join(map(F.alphabet.tokens.__getitem__, letters))
+                text = " ".join(map(F.tokens.__getitem__, letters))
                 assert F.word(text).letters == word_oracle.parse(F, text)
 
 
