@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .freegroup import FreeGroup
 from .endomorphism import (
@@ -36,7 +37,7 @@ from .endomorphism import (
     to_mapping,
 )
 from .morita import f_tilde, morita_f
-from .earle import earle_psi, over_canonical_denominator
+from .earle import psi_numerators
 from .verify import SUITE_ORDER, failures, run_suite
 
 EXIT_OK = 0
@@ -130,10 +131,11 @@ def _load_eval_input(args) -> Endo:
     return phi
 
 
-def _psi_payload(vec, genus: int) -> dict:
-    nums, den = over_canonical_denominator(vec, genus)
+def _psi_payload(phi: Endo) -> dict:
+    """Earle's psi as its integer numerators over 2g - 2, and in lowest terms."""
+    nums, den = psi_numerators(phi), 2 * phi.group.genus - 2
     return {
-        "lowest_terms": [str(q) for q in vec],
+        "lowest_terms": [str(Fraction(n, den)) for n in nums],
         "numerators": list(nums),
         "denominator": den,
     }
@@ -170,7 +172,7 @@ def cmd_eval(args) -> int:
         elif sel == "morita-f":
             results["morita_f"] = list(morita_f(phi))
         elif sel == "earle-psi":
-            results["earle_psi"] = _psi_payload(earle_psi(phi), genus)
+            results["earle_psi"] = _psi_payload(phi)
 
     if args.format == "structured":
         doc = {

@@ -59,7 +59,7 @@ import reprlib
 import struct
 import sys
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
 __all__ = ["FreeGroup", "Word", "commutator", "conjugator", "random_word"]
@@ -628,7 +628,7 @@ def _walk(w: Word) -> tuple[int, tuple[int, ...]]:
         else:
             s -= alpha[-c - g]
             beta[-c - g] -= 1
-    return 2 * s - sum(a * b for a, b in zip(alpha, beta)), tuple(alpha[1:] + beta[1:])
+    return 2 * s - sum(map(mul, alpha, beta)), tuple(alpha[1:] + beta[1:])
 
 
 # Digits per chunk of _block_sums' digit string: 2^_CHUNK_BITS.
@@ -667,17 +667,18 @@ def _block_sums(w: Word) -> tuple[int, tuple[int, ...]]:
     the digits 2 those of v >> 1, so the popcounts under mask t add up
     bit t of the places.  No word makes the masks grow.
     """
-    packed, parts, alpha, beta, fixed = w.packed, [], [], [], 0
+    packed, digits, alpha, beta, fixed = w.packed, bytearray(), [], [], 0
     for delete, to_p1, to_p2, down_a, up_a, down_b in w.group.handle_tables:
         proj = packed.translate(None, delete)
         p1, p2 = proj.translate(to_p1, down_a), proj.translate(to_p2, up_a)
         a = len(p1) - len(p2)
         b = len(p1) + len(p2) - len(proj) - 2 * proj.count(down_b)
         fixed += b * (2 * len(p1) - a)
-        parts += p1, p2
+        digits += p1
+        digits += p2
         alpha.append(a)
         beta.append(b)
-    digits, (low, masks) = b"".join(parts), _index_masks()
+    low, masks = _index_masks()
     size, places = 1 << _CHUNK_BITS, 0
     for start in range(0, len(digits), size):
         chunk = digits[start:start + size]

@@ -117,14 +117,38 @@ def is_symplectic(m: Matrix) -> bool:
     return all(sum(map(mul, col, rows)) == want for col, want in zip(zip(*m), rows_of_j))
 
 
+def _is_plus_minus_identity(m: Matrix) -> bool:
+    """Whether m is I or -I (of even size), by rows, stopping at the first row off it.
+
+    A row passes when it has the sign of m[0][0] on the diagonal, zeros
+    elsewhere and an int sum, so no entry that ``is_symplectic`` would
+    refuse (a float, a Fraction) slips through.
+    """
+    n = len(m)
+    if n % 2 or not n:
+        return False
+    sign = m[0][0]
+    if sign != 1 and sign != -1:
+        return False
+    for i, row in enumerate(m):
+        if len(row) != n or row[i] != sign or row.count(0) != n - 1 or type(sum(row)) is not int:
+            return False
+    return True
+
+
 def symplectic_inverse(m: Matrix) -> Matrix:
     """Exact inverse of a symplectic matrix by the closed form -J m^T J.
 
     In g x g blocks [[A, B], [C, D]] the inverse is
     [[D^T, -B^T], [-C^T, A^T]].  The closed form is the inverse only when
     m^T J m == J, so any other matrix is rejected rather than given a
-    wrong answer; every rho(phi) with phi in N passes.
+    wrong answer; every rho(phi) with phi in N passes.  I and -I, the
+    rho of every conjugation and of the involution, are symplectic and
+    their own inverses, so they are returned as they are without the
+    packed test.
     """
+    if _is_plus_minus_identity(m):
+        return m
     if not is_symplectic(m):
         raise ValueError("matrix is not symplectic, so -J m^T J is not its inverse")
     g = len(m) // 2

@@ -17,6 +17,7 @@ from mcgcocycles import (
     jablow,
     morita_f,
     over_canonical_denominator,
+    psi_numerators,
     random_element,
     twist_catalog,
 )
@@ -127,6 +128,20 @@ def test_two_g_minus_two_psi_is_integral():
     draw = sampler(elements=1)
     samples = (draw(FreeGroup(g), rng) for g in (2, 3, 4) for _ in range(25))
     assert not failures(run_checks({"integral": verify.psi_integral("p1")}, samples))
+
+
+def test_psi_numerators_are_two_g_minus_two_times_psi():
+    rng = random.Random(2626)
+    elements = [jablow(FreeGroup(g)) for g in (2, 3, 4, 5)]
+    elements += [random_element(FreeGroup(g), 4, seed=rng.randrange(1 << 30))
+                 for g in (2, 3, 4, 5) for _ in range(10)]
+    elements += handle_mixing()
+    for phi in elements:
+        genus = phi.group.genus
+        nums, psi = psi_numerators(phi), earle_psi(phi)
+        assert all(type(n) is int for n in nums)
+        assert nums == tuple((2 * genus - 2) * q for q in psi)
+        assert over_canonical_denominator(psi, genus) == (nums, 2 * genus - 2)
 
 
 def test_over_canonical_denominator_rejects_foreign_denominators():

@@ -305,3 +305,37 @@ def test_shapes_that_fit_no_genus_are_refused():
     # J with a third column, and a 1 x 1 matrix: the packed test alone would pass both
     assert is_symplectic(((0, 1, 5), (-1, 0, 7))) is False
     assert is_symplectic(((1,),)) is False
+
+
+@pytest.mark.parametrize("g", [2, 5, 64])
+def test_symplectic_inverse_returns_plus_and_minus_identity_unchanged(g):
+    eye = identity_matrix(2 * g)
+    minus = tuple(tuple(-x for x in row) for row in eye)
+    for m in (eye, minus):
+        assert symplectic_inverse(m) is m
+        assert is_symplectic(m)
+        if g < 64:
+            J = symplectic_form(g)
+            minus_J = tuple(tuple(-x for x in row) for row in J)
+            assert mat_mul(mat_mul(minus_J, transpose(m)), J) == m
+            assert mat_mul(m, m) == eye
+
+
+@pytest.mark.parametrize("g", [2, 5, 64])
+def test_symplectic_inverse_refuses_what_is_close_to_plus_or_minus_identity(g):
+    n = 2 * g
+    eye = identity_matrix(n)
+    twice = tuple(tuple(2 * x for x in row) for row in eye)
+    e01 = (tuple(int(j < 2) for j in range(n)),) + eye[1:]
+    # the sign of A_1 kept and of B_1 flipped: diagonal, but not symplectic
+    flipped = eye[:g] + (tuple(-x for x in eye[g]),) + eye[g + 1:]
+    for m in (twice, e01, flipped, eye[:-1], eye[:-1] + (eye[-1] + (2,),)):
+        with pytest.raises(ValueError):
+            symplectic_inverse(m)
+    # float entries still reach the packed test, which cannot shift them
+    for m in (tuple(tuple(float(x) for x in row) for row in eye),
+              eye[:-1] + (eye[-1][:-2] + (0.0, 1),)):
+        with pytest.raises((AttributeError, TypeError)):
+            symplectic_inverse(m)
+    with pytest.raises(ValueError):
+        symplectic_inverse(((1,),))
