@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
-from .freegroup import (FreeGroup, Substitution, Word, commutator, conjugator, d_and_class,
-                        random_word)
+from .freegroup import (FreeGroup, Substitution, Word, commutator, conjugated_generators,
+                        conjugator, d_and_class, random_word)
 from .homology import Matrix, Vector, abelianize, dual, mat_vec, symplectic_inverse
 
 __all__ = ["Auto", "Endo", "MembershipError", "NWitness", "compose", "from_mapping", "in_M_g1",
@@ -192,7 +192,8 @@ class _Conjugation(Auto):
     """The conjugation g -> x g x^-1, with ``xi`` = x^-1.
 
     A word other than a single generator applies as the two products
-    x w x^-1, without the substitution kernel.  Built by ``by`` only,
+    x w x^-1, without the substitution kernel; the images are sliced from
+    x and ``xi`` (``freegroup.conjugated_generators``).  Built by ``by`` only,
     through ``_trusted``, so nothing is certified.  Its inverse, the
     conjugation by x^-1, is built from ``xi`` on the first read of
     ``backward``, and ``inverse()`` returns that same object.
@@ -202,10 +203,7 @@ class _Conjugation(Auto):
 
     @classmethod
     def by(cls, x: Word, xi: Word) -> "_Conjugation":
-        gens = x.group.generators()
-        # the empty x (the identity) keeps the generator words, making no product
-        images = tuple(x * gen * xi for gen in gens) if len(x) else gens
-        obj = cls._trusted(x.group, images, None)
+        obj = cls._trusted(x.group, conjugated_generators(x, xi), None)
         obj.x, obj.xi = x, xi
         return obj
 
@@ -227,21 +225,31 @@ def compose(outer: Endo, inner: Endo) -> Endo:
     (outer, inner) until its ``backward`` is first read, which builds
     the inverse in rank applications, inner^-1 to the images of outer^-1,
     and drops the pair.  The composite of the conjugations by x and by y
-    is the conjugation by x y, built without applying either.
+    is the conjugation by x y, built without applying either.  After a
+    conjugation by x, outer applies to x only; after the identity, it is ``inner``.
     """
     if outer.group != inner.group:
         raise ValueError("genus mismatch in composition")
-    if isinstance(outer, _Conjugation) and isinstance(inner, _Conjugation):
-        return _Conjugation.by(outer.x * inner.x, inner.xi * outer.xi)
+    if isinstance(outer, _Conjugation):
+        if not len(outer.x):
+            return inner
+        if isinstance(inner, _Conjugation):
+            return _Conjugation.by(outer.x * inner.x, inner.xi * outer.xi)
     group = outer.group
-    images = tuple(outer(im) for im in inner.images)
+    if isinstance(inner, _Conjugation):
+        # outer(x gen x^-1) = X outer(gen) X^-1, with X = outer(x) applied once
+        x = outer(inner.x)
+        xi = x.inverse()
+        images = tuple(x * im * xi for im in outer.images)
+    else:
+        images = tuple(outer(im) for im in inner.images)
     if isinstance(outer, Auto) and isinstance(inner, Auto):
         return Auto._trusted(group, images, (outer, inner))
     return Endo(group, images)
 
 
 def inner(x: Word) -> Auto:
-    """Conjugation g -> x g x^-1, applied as two products; its inverse is built on first read."""
+    """Conjugation g -> x g x^-1: images sliced, applied as two products, inverse built on read."""
     return _Conjugation.by(x, x.inverse())
 
 

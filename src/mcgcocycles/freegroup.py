@@ -126,15 +126,17 @@ class Substitution:
     letter of the inverse of image c, so an output cancels against image
     c exactly when it ends with it; for an empty image it is a zero
     letter, which no output ends with.  Entry c of ``inverses`` is that
-    inverse image read as one big-endian integer.
+    inverse image read as one big-endian integer, or None until a seam
+    first cancels against image c.
 
     Applying it appends the images to a ``bytearray``.  The output so far
     and each image are reduced, so letters cancel only at the seam, by
     the rule of ``_cancelled`` with the inverse image read as an integer
-    once, here: the output's tail XOR the inverse image has its lowest
-    set bit past the equal trailing letters.  Where the output is shorter
-    than the image its missing letters read as 0, which no letter is, so
-    the count stops at the output's length.
+    once per map, on the first seam that needs it: the output's tail XOR
+    the inverse image has its lowest set bit past the equal trailing
+    letters.  Where the output is shorter than the image its missing
+    letters read as 0, which no letter is, so the count stops at the
+    output's length.
     """
 
     __slots__ = ("group", "packed", "ends", "inverses")
@@ -143,16 +145,13 @@ class Substitution:
         width, size = group.width, 2 * group.rank + 1
         packed: list = [b""] * size
         ends: list = [bytes(width)] * size
-        inverses: list = [0] * size
         for c, im in enumerate(images, start=1):
             image = im.packed
             if image:
                 inverse = _packed_inverse(image, group)
                 packed[c], packed[-c] = image, inverse
                 ends[c], ends[-c] = inverse[-width:], image[-width:]
-                inverses[c] = int.from_bytes(inverse, "big")
-                inverses[-c] = int.from_bytes(image, "big")
-        self.group, self.packed, self.ends, self.inverses = group, packed, ends, inverses
+        self.group, self.packed, self.ends, self.inverses = group, packed, ends, [None] * size
 
     def __call__(self, letters: memoryview) -> "Word":
         """The reduced product of the images of ``letters``, signed codes of this group."""
@@ -162,7 +161,10 @@ class Substitution:
         for c in letters:
             img = packed[c]
             if out.endswith(ends[c]):
-                x = int.from_bytes(out[-len(img):], "big") ^ inverses[c]
+                inverse = inverses[c]
+                if inverse is None:
+                    inverse = inverses[c] = int.from_bytes(packed[-c], "big")
+                x = int.from_bytes(out[-len(img):], "big") ^ inverse
                 j = ((x & -x).bit_length() - 1) // bits * width if x else len(img)
                 out[len(out) - j:] = img[j:]
             else:
@@ -470,11 +472,19 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        self._require_same_group(other)
-        a, b, group = self.packed, other.packed, self.group
-        # only the seam can cancel, both factors being reduced
-        j = _cancelled(a, b, group)
-        return Word._from_reduced(group, a[:len(a) - j] + b[j:])
+        group = self.group
+        if other.group is not group:
+            self._require_same_group(other)
+        a, b = self.packed, other.packed
+        # only the seam can cancel, both factors being reduced, and one-byte
+        # letters cancel there only when they add up to 0 modulo 256
+        if a and b and (group.width > 1 or not (a[-1] + b[0]) & 0xFF):
+            j = _cancelled(a, b, group)
+            a, b = a[:len(a) - j], b[j:]
+        w = _new(Word)
+        _set_group(w, group)
+        _set_packed(w, a + b)
+        return w
 
     def inverse(self) -> "Word":
         return Word._from_reduced(self.group, _packed_inverse(self.packed, self.group))
@@ -544,6 +554,29 @@ class Word:
 # their slot without the by-name lookup of object.__setattr__
 _set_group = Word.__dict__["group"].__set__
 _set_packed = Word.__dict__["packed"].__set__
+_new = object.__new__
+
+
+def conjugated_generators(x: Word, xi: Word) -> tuple[Word, ...]:
+    """The reduced words x gen x^-1 of the 2g generators, ``xi`` being x^-1, by slicing bytes.
+
+    x gen xi is reduced as written unless x ends in gen^+-1, which holds
+    for the generator of x's last letter only.  For that one, x = y gen^k
+    with y not ending in gen^+-1, so the image is y gen y^-1, reduced as
+    written, and y^-1 is xi without its first k letters.  The empty x
+    keeps the generator words.
+    """
+    group = x.group
+    gens, a, ai, width = group.generators(), x.packed, xi.packed, group.width
+    if not a:
+        return gens
+    last, k = a[-width:], 1
+    while a.endswith(last * (k + 1)):
+        k += 1
+    images = [a + gen.packed + ai for gen in gens]
+    c = abs(int.from_bytes(last, sys.byteorder, signed=True))
+    images[c - 1] = a[:len(a) - k * width] + gens[c - 1].packed + ai[k * width:]
+    return tuple(Word._from_reduced(group, image) for image in images)
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -612,22 +645,30 @@ _KERNEL_LETTERS = 48
 
 
 def _walk(w: Word) -> tuple[int, tuple[int, ...]]:
-    """``d_and_class`` by one pass over the letters with per-handle counters."""
-    g = w.group.genus
+    """``d_and_class`` by one pass over the letters with per-handle counters.
+
+    It reads the letters unsigned, one-byte ones as the bytes themselves,
+    which are ints Python keeps cached: with m = 2^(8 width), A_k is k,
+    B_k is g + k, a_k is m - k and b_k is m - g - k.
+    """
+    group = w.group
+    g, rank, m = group.genus, group.rank, 1 << 8 * group.width
+    mg = m - g
     alpha = [0] * (g + 1)
     beta = [0] * (g + 1)
     s = 0
-    for c in w.view:
-        if c > g:
-            s += alpha[c - g]
-            beta[c - g] += 1
-        elif c > 0:
-            alpha[c] += 1
-        elif c >= -g:
-            alpha[-c] -= 1
+    for u in w.packed if group.width == 1 else memoryview(w.packed).cast(group.code.upper()):
+        if u > rank:  # an inverse letter
+            if u >= mg:
+                alpha[m - u] -= 1
+            else:
+                s -= alpha[mg - u]
+                beta[mg - u] -= 1
+        elif u > g:
+            s += alpha[u - g]
+            beta[u - g] += 1
         else:
-            s -= alpha[-c - g]
-            beta[-c - g] -= 1
+            alpha[u] += 1
     return 2 * s - sum(map(mul, alpha, beta)), tuple(alpha[1:] + beta[1:])
 
 

@@ -4,7 +4,8 @@ A ``Word`` keeps its letters as bytes, one signed machine integer per
 letter: 1 byte wide up to genus 63 and 2 bytes from genus 64.  Products,
 inverses, powers, cyclic reduction and the conjugacy search work on those
 bytes, so each is checked here at both widths against a reference that
-walks a tuple of letters one at a time.
+walks a tuple of letters one at a time.  So are the images of a
+conjugation, which are sliced from the bytes of x and x^-1.
 """
 
 import pickle
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from word_oracle import _conjugator, _cyclic_reduce, _inverse, _reduce
-from mcgcocycles import FreeGroup, Word, conjugator, random_word
+from mcgcocycles import FreeGroup, Word, conjugator, inner, random_word
 
 GENERA = (2, 9, 64, 130, 200)
 
@@ -79,3 +80,33 @@ def test_packed_kernels_match_tuple_references(g):
             got = conjugator(x, w2)
             assert got.letters == _conjugator(x.letters, w2.letters)
             assert w2.conjugated_by(got) == x
+
+
+@pytest.mark.parametrize("g", GENERA)
+def test_conjugation_images_match_the_tuple_reduction(g):
+    """inner(x) and its inverse against x gen x^-1 reduced letter by letter.
+
+    x = y gen^k, with y not ending in gen^+-1, has to lose k letters on
+    each side of the image of gen: k runs over -3..3, y over random words
+    and the empty word, gen over the ends of the alphabet and the letters
+    whose two-byte forms share bytes.
+    """
+    rng = random.Random(900 + g)
+    F = FreeGroup(g)
+    xs = [()] + [random_word(F, rng.randint(1, 12), rng).letters for _ in range(20)]
+    gens = {1, g, g + 1, F.rank, rng.randint(1, F.rank)}
+    gens |= {c for c in _aliasing_letters(F) if c > 0}
+    for c in sorted(gens):
+        for k in range(-3, 4):
+            power = (c if k > 0 else -c,) * abs(k)
+            y = random_word(F, rng.randint(1, 6), rng).letters
+            while y and abs(y[-1]) == c:
+                y = y[:-1]
+            xs += [power, y + power]
+    for t in xs:
+        conj = inner(F.from_letters(t))
+        ti = _inverse(t)
+        assert tuple(im.letters for im in conj.images) == tuple(
+            _reduce(t + (c,) + ti) for c in range(1, F.rank + 1)), t
+        assert tuple(im.letters for im in conj.inverse().images) == tuple(
+            _reduce(ti + (c,) + t) for c in range(1, F.rank + 1)), t

@@ -32,7 +32,7 @@ def test_sweep_tool_writes_all_four_tables(tool, tmp_path, monkeypatch, capsys):
     (words,) = result["word_rows"]
     assert (words["genus"], words["letters"]) == (2, 100)
     for name in ("mul_ns", "inverse_ns", "cyclic_reduce_ns", "conjugator_ns", "letters_ns",
-                 "conjugate_ns"):
+                 "conjugate_ns", "inner_ns"):
         assert words[name] > 0, name
     assert [(r["genus"], r["letters"], r["kernel"]) for r in result["d_rows"]] == [(2, 100, True)]
 

@@ -518,3 +518,44 @@ def test_d_matches_per_handle_syllables_on_long_images(g, handle):
     phi = twist_chain(F, handle, 20_000)
     for w in (*phi.images, phi(F.zeta())):
         assert d(w) == sum(d_two_gen(project(w, i)) for i in range(1, g + 1))
+
+
+@pytest.mark.parametrize("g", (63, 64))
+def test_walk_matches_the_syllable_oracle_at_the_byte_extremes(g):
+    """At genus 63 the one-byte letters run over 1..126 and 130..255, the
+    extremes of a byte; at 64 they take two bytes.  Words stay below
+    ``_KERNEL_LETTERS`` per handle, where ``d_and_class`` takes the walk."""
+    F, rng = FreeGroup(g), random.Random(g)
+    extremes = [sign * c for sign in (1, -1) for c in (1, g, g + 1, F.rank)]
+    words = [F.from_letters(extremes), F.from_letters(extremes[::-1])]
+    assert all(len(w) == len(extremes) for w in words)
+    words += [random_word(F, rng.randint(0, freegroup._KERNEL_LETTERS * g - 1), rng)
+              for _ in range(12)]
+    for w in words:
+        cls = [0] * F.rank
+        for c in w.letters:
+            cls[abs(c) - 1] += 1 if c > 0 else -1
+        want = sum(d_two_gen(project(w, i)) for i in range(1, g + 1)), tuple(cls)
+        assert freegroup._walk(w) == freegroup.d_and_class(w) == want
+
+
+@pytest.mark.parametrize("g", (2, 64))
+def test_one_map_on_words_in_a_row_reads_each_inverse_image_once(g):
+    """The images z gen z^-1 in a plain Endo cancel |z| letters at every seam,
+    so each word builds the integers of the inverse images it cancels against
+    that no earlier word built, and reads the built ones again."""
+    F, rng = FreeGroup(g), random.Random(40 + g)
+    phi = Endo(F, inner(random_word(F, 7, rng)).images)
+    table = None
+    for _ in range(12):
+        w = random_word(F, rng.randint(2, 30), rng)
+        assert phi(w).letters == word_oracle.substitute(phi, w)
+        if table is None:
+            table, kept = phi._table, {}
+        built = {c: v for c, v in enumerate(table.inverses) if v is not None}
+        # every letter after the first cancels at its seam
+        assert {c % len(table.inverses) for c in w.letters[1:]} <= set(built)
+        assert all(built[c] is v for c, v in kept.items())
+        assert all(v == int.from_bytes(table.packed[-c], "big") for c, v in built.items())
+        kept = built
+    assert phi._table is table

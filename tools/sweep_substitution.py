@@ -30,8 +30,11 @@ cancels at the seam; ``inverse_ns``; ``cyclic_reduce_ns``; ``conjugator_ns`` of 
 core of x against its rotation by one letter; ``letters_ns`` of decoding
 ``x.letters`` from the packed bytes; ``conjugate_ns`` of ``inner(z)(x)``
 for a fixed-seed random z of 30 letters, which a conjugation applies as
-the two products z x z^-1, without the substitution kernel.  Genus 64
-and above packs two bytes per letter.
+the two products z x z^-1, without the substitution kernel.
+``inner_ns`` is the time of building ``inner(z)`` itself, whose 2g
+images are sliced from the bytes of z and z^-1, per letter of z, so it
+does not depend on ``letters``.  Genus 64 and above packs two bytes per
+letter.
 
 The fourth table, ``d_rows``, times ``freegroup.d_and_class`` over ``GENERA``
 on a fixed-seed random reduced word of ``letters`` letters, as the best
@@ -115,7 +118,8 @@ def sweep_words(repeats: int) -> list[dict]:
             y = half * random_word(group, length - length // 2, rng)
             c1 = x.cyclic_reduce()[0]
             c2 = group.from_letters(c1.letters[1:] + c1.letters[:1])
-            conj = inner(random_word(group, 30, rng))
+            z = random_word(group, 30, rng)
+            conj = inner(z)
             row = {"genus": g, "letters": length}
             for name, call in (("mul_ns", lambda: x * y), ("inverse_ns", x.inverse),
                                ("cyclic_reduce_ns", x.cyclic_reduce),
@@ -123,6 +127,7 @@ def sweep_words(repeats: int) -> list[dict]:
                                ("letters_ns", lambda: x.letters),
                                ("conjugate_ns", lambda: conj(x))):
                 row[name] = round(best_ns(call, length, repeats), 2)
+            row["inner_ns"] = round(best_ns(lambda: inner(z), len(z), repeats), 2)
             rows.append(row)
             print(json.dumps(rows[-1]), file=sys.stderr)
     return rows
