@@ -14,7 +14,7 @@ from mcgcocycles import (
     earle_psi,
     inner,
     jablow,
-    over_canonical_denominator,
+    psi_numerators,
     random_word,
 )
 
@@ -27,10 +27,9 @@ for g in (2, 3):
 print("\nValues on the involution, genus 2 through 6:")
 for g in range(2, 7):
     F = FreeGroup(g)
-    psi = earle_psi(jablow(F))
-    nums, den = over_canonical_denominator(psi, g)
-    pretty = ", ".join(str(q) for q in psi)
-    print(f"  g={g}:  ({pretty})  =  {nums} / {den}")
+    io = jablow(F)
+    pretty = ", ".join(str(q) for q in earle_psi(io))
+    print(f"  g={g}:  ({pretty})  =  {psi_numerators(io)} / {2 * g - 2}")
 
 print("\nThe same values against the closed form (1,..,1,-1,-2,..,-g)/(g-1):")
 for g in range(2, 7):

@@ -13,9 +13,9 @@ the integer vector
 
     N(phi) = 2 (rho(phi)^-1 e - e) - f(phi),
 
-which ``psi_numerators`` computes in integers.  ``earle_psi`` divides it
-once by 2g - 2 and returns exact fractions.Fraction entries in lowest
-terms.
+which ``psi_numerators`` computes in integers: psi's primary form, which
+``earle_psi`` divides once by 2g - 2 into exact Fractions in lowest
+terms; nothing converts them back.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .homology import Vector, mat_vec
 from .endomorphism import Endo, require_membership
 from .morita import morita_f
 
-__all__ = ["QVector", "a0", "coboundary_a0", "earle_psi", "over_canonical_denominator",
-           "psi_numerators"]
+__all__ = ["QVector", "a0", "coboundary_a0", "earle_psi", "psi_numerators"]
 
 QVector = tuple[Fraction, ...]
 
@@ -80,19 +79,3 @@ def earle_psi(phi: Endo) -> QVector:
     """
     den = 2 * phi.group.genus - 2
     return tuple(Fraction(n, den) for n in psi_numerators(phi))
-
-
-def over_canonical_denominator(vec: QVector, genus: int) -> tuple[tuple[int, ...], int]:
-    """Rewrite a psi value as integer numerators over 2g - 2.
-
-    Raises if some entry does not have denominator dividing 2g - 2; for
-    genuine cocycle values it always does.
-    """
-    den = 2 * genus - 2
-    nums = []
-    for q in vec:
-        scale, rest = divmod(den, q.denominator)
-        if rest:
-            raise ValueError(f"entry {q} is not a multiple of 1/{den}")
-        nums.append(q.numerator * scale)
-    return tuple(nums), den

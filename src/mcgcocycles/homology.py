@@ -87,7 +87,7 @@ def induced_matrix(phi) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if len(m[0]) != len(v):
+    if m and len(m[0]) != len(v):
         raise ValueError("shape mismatch")
     return tuple(sum(map(mul, row, v)) for row in m)
 

@@ -36,7 +36,7 @@ from .endomorphism import (
     zeta_power_exponent,
 )
 from .morita import d, f_tilde, f_tilde_at, morita_f
-from .earle import a0, coboundary_a0, earle_psi, over_canonical_denominator, psi_numerators
+from .earle import a0, coboundary_a0, earle_psi, psi_numerators
 
 
 @dataclass
@@ -187,9 +187,10 @@ class Suite:
 
 # -- checks: each takes a sample and returns True when it holds ---------------
 #
-# Checks look the cocycles up in this module's globals when they run and
-# never bind them at import, so a wrapper rebound over those names (as
-# bench/tracing.py does) sees every call.
+# Checks look the cocycles up in this module's globals when they run, as
+# do the suite table's lambdas that pass one to ``cocycle_rule`` or
+# ``on_conjugation`` (one check per cocycle property), so a wrapper
+# rebound over those names (as bench/tracing.py does) sees every call.
 
 
 def _equal(got, want):
@@ -235,6 +236,11 @@ def d_vanishes_on_generators(s: Sample) -> bool:
     return all(d(gen) == 0 for gen in s.group.generators())
 
 
+def on_conjugation(cocycle: Callable, scale: int, x: Word) -> bool:
+    """cocycle(inner(x)) = scale [x]: 2 for f_tilde, 2 - 2g for f, 2g - 2 for psi's numerators."""
+    return cocycle(inner(x)) == tuple(scale * v for v in abelianize(x))
+
+
 def cocycle_rule(cocycle: Callable, s: Sample) -> Any:
     """The twisted cocycle rule c(p1 p2) = rho(p2)^-1 c(p1) + c(p2), times rho(p2).
 
@@ -264,20 +270,12 @@ def psi_cocycle_rule(s: Sample) -> Any:
     return verdict if shown is True else shown
 
 
-def f_tilde_on_conjugation(s: Sample) -> bool:
-    return f_tilde(inner(s.x)) == tuple(2 * v for v in abelianize(s.x))
-
-
 def f_tilde_at_additive(s: Sample) -> bool:
     return f_tilde_at(s.p1, s.x * s.y) == f_tilde_at(s.p1, s.x) + f_tilde_at(s.p1, s.y)
 
 
 def f_tilde_at_is_pairing(s: Sample) -> bool:
     return f_tilde_at(s.p1, s.x) == intersection(f_tilde(s.p1), abelianize(s.x))
-
-
-def morita_f_on_conjugation(s: Sample) -> bool:
-    return morita_f(inner(s.x)) == tuple((2 - 2 * s.group.genus) * v for v in abelianize(s.x))
 
 
 def witness_free(element: str = "p1", shifts: tuple[int, ...] = (-2, -1, 1, 2)) -> Check:
@@ -303,25 +301,15 @@ def boundary_fixing_agreement(s: Sample) -> bool:
 
 
 def vanishes_on_zeta_conjugation(s: Sample) -> bool:
-    zeta = s.group.zeta()
-    return all(morita_f(inner(zeta**m)) == (0,) * s.group.rank for m in (-2, -1, 0, 1, 2))
+    zeta, scale = s.group.zeta(), 2 - 2 * s.group.genus
+    return all(on_conjugation(morita_f, scale, zeta**m) for m in (-2, -1, 0, 1, 2))
 
 
-def psi_on_conjugation(s: Sample) -> bool:
-    """psi(inner(x)) = [x], checked as its numerators: (2g - 2) [x]."""
-    scale = 2 * s.group.genus - 2
-    return psi_numerators(inner(s.x)) == tuple(scale * v for v in abelianize(s.x))
-
-
-def psi_integral(element: str = "comp") -> Check:
-    """(2g-2) psi of the element is an integer vector."""
-
-    def check(s: Sample) -> bool:
-        # raises unless every entry is an integer over 2g - 2
-        over_canonical_denominator(earle_psi(getattr(s, element)), s.group.genus)
-        return True
-
-    return check
+def psi_integral(s: Sample) -> Any:
+    """(2g-2) psi of p1 p2 is an integer vector: each denominator divides 2g - 2."""
+    den = 2 * s.group.genus - 2
+    bad = next((q for q in earle_psi(s.comp) if den % q.denominator), None)
+    return True if bad is None else f"entry {bad} is not a multiple of 1/{den}"
 
 
 # -- the paper's values (frozen) -----------------------------------------------
@@ -416,7 +404,9 @@ SUITES = {
         "normalization d(alpha beta) = 1": turning_values,
     }, _once))),
     "cocycle-n": Suite((
-        Family(sampler(x=50), {"f_tilde on conjugations is 2[x]": f_tilde_on_conjugation}),
+        Family(sampler(x=50), {
+            "f_tilde on conjugations is 2[x]": lambda s: on_conjugation(f_tilde, 2, s.x),
+        }),
         Family(sampler(elements=2, x=20, y=20), {
             "twisted cocycle identity for f_tilde": lambda s: cocycle_rule(f_tilde, s),
             "f_tilde_at additive in the argument": f_tilde_at_additive,
@@ -429,7 +419,8 @@ SUITES = {
     )),
     "descent": Suite((
         Family(sampler(x=30), {
-            "restriction to conjugations is (2-2g)[x]": morita_f_on_conjugation,
+            "restriction to conjugations is (2-2g)[x]":
+                lambda s: on_conjugation(morita_f, 2 - 2 * s.group.genus, s.x),
         }),
         Family(sampler(elements=2), {
             "value independent of witness choice": witness_free(),
@@ -439,10 +430,13 @@ SUITES = {
         Family(sampler(), {"vanishes on conjugation by zeta": vanishes_on_zeta_conjugation}, _once),
     )),
     "earle": Suite((
-        Family(sampler(x=30), {"restriction to conjugations is [x]": psi_on_conjugation}),
+        Family(sampler(x=30), {
+            "restriction to conjugations is [x]":
+                lambda s: on_conjugation(psi_numerators, 2 * s.group.genus - 2, s.x),
+        }),
         Family(sampler(elements=2), {
             "twisted cocycle identity for psi": psi_cocycle_rule,
-            "(2g-2) psi is integral": psi_integral(),
+            "(2g-2) psi is integral": psi_integral,
         }, _quarter),
         Family(sampler(), {
             "psi is not the bare base point coboundary": psi_is_not_bare_coboundary,

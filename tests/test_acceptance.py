@@ -10,7 +10,7 @@ draw order.
 import random
 from functools import partial
 
-from mcgcocycles import FreeGroup, earle_psi, f_tilde, morita_f
+from mcgcocycles import FreeGroup, earle_psi, f_tilde, morita_f, psi_numerators
 from mcgcocycles import verify
 from mcgcocycles.verify import Sample, failures, run_checks, sampler
 
@@ -49,7 +49,8 @@ def test_criterion_06_f_tilde_on_conjugations(report_criterion):
     rng = random.Random(2024_06)
     draw = sampler(x=50)
     samples = (draw(FreeGroup(g), rng) for g in range(2, 6) for _ in range(200))
-    failed = failures(run_checks({"2[x]": verify.f_tilde_on_conjugation}, samples))
+    checks = {"2[x]": lambda s: verify.on_conjugation(f_tilde, 2, s.x)}
+    failed = failures(run_checks(checks, samples))
     report_criterion(6, "f-tilde on 200 random conjugations per genus is 2[x]", failed)
 
 
@@ -79,7 +80,10 @@ def test_criterion_09_restrictions_to_conjugations(report_criterion):
     rng = random.Random(2024_09)
     draw = sampler(x=40)
     samples = (draw(FreeGroup(g), rng) for g in range(2, 6) for _ in range(200))
-    checks = {"morita-f": verify.morita_f_on_conjugation, "earle-psi": verify.psi_on_conjugation}
+    checks = {
+        "morita-f": lambda s: verify.on_conjugation(morita_f, 2 - 2 * s.group.genus, s.x),
+        "earle-psi": lambda s: verify.on_conjugation(psi_numerators, 2 * s.group.genus - 2, s.x),
+    }
     report_criterion(
         9,
         "morita f is (2-2g)[x] and earle psi is [x] on 200 random "

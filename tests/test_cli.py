@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -31,6 +32,15 @@ def run_cli(*argv, expect=0):
     )
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
+
+
+def test_the_console_script_entry_point_runs_verify():
+    """pyproject's ``mcg-cocycles`` target, read by regex (Python 3.10 has no tomllib)."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1]
+    module, function = re.search(r'^mcg-cocycles = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), function)
+    assert entry(["verify", "words", "--g", "2", "--samples", "2"]) == 0
 
 
 def test_eval_builtin_iota_text():

@@ -607,3 +607,10 @@ def test_no_malformed_document_escapes_as_a_traceback(doc):
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["eval", "--in", path, "--format", "structured"]) in (0, 2, 3)
+
+
+def test_endo_and_auto_show_their_kind_and_genus():
+    F = FreeGroup(3)
+    gens = F.generators()
+    assert repr(Endo(F, gens)) == "<Endo genus 3>"
+    assert repr(Auto(F, gens, gens)) == "<Auto genus 3>"

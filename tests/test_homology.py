@@ -307,6 +307,11 @@ def test_shapes_that_fit_no_genus_are_refused():
     assert is_symplectic(((1,),)) is False
 
 
+def test_a_matrix_with_no_rows_sends_every_vector_to_the_empty_one():
+    assert mat_vec((), ()) == ()
+    assert mat_vec((), (1, 2)) == ()
+
+
 @pytest.mark.parametrize("g", [2, 5, 64])
 def test_symplectic_inverse_returns_plus_and_minus_identity_unchanged(g):
     eye = identity_matrix(2 * g)

@@ -300,7 +300,8 @@ def test_f_tilde_on_conjugations_randomized():
     rng = random.Random(31337)
     draw = sampler(x=50)
     samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(300))
-    assert not failures(run_checks({"2[x]": verify.f_tilde_on_conjugation}, samples))
+    checks = {"2[x]": lambda s: verify.on_conjugation(f_tilde, 2, s.x)}
+    assert not failures(run_checks(checks, samples))
 
 
 def test_f_tilde_at_is_linear_and_pairs_with_dual():
@@ -330,7 +331,10 @@ def test_morita_f_on_inner_is_chi_times_class():
     rng = random.Random(27)
     draw = sampler(x=30)
     samples = (draw(FreeGroup(rng.randint(2, 5)), rng) for _ in range(200))
-    assert not failures(run_checks({"(2-2g)[x]": verify.morita_f_on_conjugation}, samples))
+    checks = {
+        "(2-2g)[x]": lambda s: verify.on_conjugation(morita_f, 2 - 2 * s.group.genus, s.x),
+    }
+    assert not failures(run_checks(checks, samples))
 
 
 def test_morita_f_inner_a1_genus_two():

@@ -110,3 +110,13 @@ def test_conjugation_images_match_the_tuple_reduction(g):
             _reduce(t + (c,) + ti) for c in range(1, F.rank + 1)), t
         assert tuple(im.letters for im in conj.inverse().images) == tuple(
             _reduce(ti + (c,) + t) for c in range(1, F.rank + 1)), t
+
+
+def test_a_word_refuses_other_operands_and_shows_its_text():
+    F = FreeGroup(2)
+    w = F.word("a1 B2")
+    with pytest.raises(TypeError):
+        w * 3
+    with pytest.raises(TypeError):
+        w ** 1.5
+    assert repr(w) == "<Word a1 B2 in FreeGroup(2)>"
