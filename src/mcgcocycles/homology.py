@@ -23,6 +23,7 @@ tuples; vectors are flat tuples.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from operator import lshift, mul, neg
 
@@ -87,7 +88,7 @@ def induced_matrix(phi) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if m and len(m[0]) != len(v):
+    if m and set(map(len, m)) != {len(v)}:
         raise ValueError("shape mismatch")
     return tuple(sum(map(mul, row, v)) for row in m)
 
@@ -117,23 +118,10 @@ def is_symplectic(m: Matrix) -> bool:
     return all(sum(map(mul, col, rows)) == want for col, want in zip(zip(*m), rows_of_j))
 
 
-def _is_plus_minus_identity(m: Matrix) -> bool:
-    """Whether m is I or -I (of even size), by rows, stopping at the first row off it.
-
-    A row passes when it has the sign of m[0][0] on the diagonal, zeros
-    elsewhere and an int sum, so no entry that ``is_symplectic`` would
-    refuse (a float, a Fraction) slips through.
-    """
-    n = len(m)
-    if n % 2 or not n:
-        return False
-    sign = m[0][0]
-    if sign != 1 and sign != -1:
-        return False
-    for i, row in enumerate(m):
-        if len(row) != n or row[i] != sign or row.count(0) != n - 1 or type(sum(row)) is not int:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _plus_minus_identity(n: int) -> tuple[Matrix, Matrix]:
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return eye, tuple(tuple(-x for x in row) for row in eye)
 
 
 def symplectic_inverse(m: Matrix) -> Matrix:
@@ -147,7 +135,8 @@ def symplectic_inverse(m: Matrix) -> Matrix:
     their own inverses, so they are returned as they are without the
     packed test.
     """
-    if _is_plus_minus_identity(m):
+    # an entry that is_symplectic would refuse (a float, a Fraction) leaves a non-int sum
+    if len(m) % 2 == 0 and m in _plus_minus_identity(len(m)) and type(sum(map(sum, m))) is int:
         return m
     if not is_symplectic(m):
         raise ValueError("matrix is not symplectic, so -J m^T J is not its inverse")

@@ -1,17 +1,20 @@
 """Named self-check suites behind the command line ``verify`` subcommand.
 
-A suite is a table of families.  A family is one seeded sampler and the
-named checks that each of its samples must pass, and ``run_checks``, the
-one runner, evaluates every check on every sample.  A check returns True
-when it holds; anything else (False, the text of a mismatch, or an
-exception) fails it, and a failed check keeps its first counterexample
-while the others run on.  The detail of a failure is the sample's index
-and text: the genus, the seeds of ``random_element(FreeGroup(g), 4,
-seed=S)`` and the word text, which rebuild the input.  Every suite draws
-from one generator in table order, so a repeated run is byte-for-byte
-identical.  The checks call the cocycles directly; each element's
-membership record (``in_N``) is the one cache of its values.  The tests
-run the same samplers, checks and runner with their own seeds and counts.
+A suite is a table of families.  A family is named checks and the draw
+``sampler(elements, **words)`` of its samples, whose count per genus
+follows from what it draws (see ``Family``); a suite's ``head`` families
+run once, at genus 2.  ``run_checks``, the one runner, evaluates every
+check on every sample.  A check returns True when it holds; anything
+else (False, the text of a mismatch, or an exception) fails it, and a
+failed check keeps its first counterexample while the others run on.
+The detail of a failure is the sample's index and text: the genus, the
+seeds of ``random_element(FreeGroup(g), 4, seed=S)`` and the word text,
+which rebuild the input.  Every suite draws from one generator in table
+order, so a repeated run is byte-for-byte identical.  The checks call
+the cocycles directly; each element's membership record (``in_N``) is
+the one cache of its values.  Earle's psi is checked on its numerators
+(2g - 2) psi, so its failures show numerators.  The tests run the same
+samplers, checks and runner with their own seeds and counts.
 """
 
 from __future__ import annotations
@@ -141,43 +144,37 @@ def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.passed]
 
 
-def _once(samples: int) -> int:
-    return 1
-
-
-def _quarter(samples: int) -> int:
-    """Pair families draw fewer samples: each one builds two elements."""
-    return max(1, samples // 4)
-
-
 # Family and Suite are plain classes: a frozen dataclass costs about a
 # millisecond of import time each, which every fresh process pays.
 
 
 class Family:
-    """One sampler and the named checks every one of its samples must pass.
+    """The named checks every sample of ``sampler(elements, **words)`` must pass.
 
-    ``count`` maps the suite's ``samples`` to the samples drawn per genus.
+    Per genus it draws one sample when it draws nothing, a quarter of
+    ``samples`` (at least one) when it builds elements, else ``samples``.
     """
 
-    def __init__(self, draw: Callable[[Optional[FreeGroup], random.Random], Any],
-                 checks: dict[str, Check], count: Callable[[int], int] = lambda n: n):
-        self.draw, self.checks, self.count = draw, checks, count
+    def __init__(self, checks: dict[str, Check], elements: int = 0, **words: int):
+        self.checks, self.draw = checks, sampler(elements, **words)
+        self.elements, self.words = elements, words
 
-    def run(self, group, samples: int, rng: random.Random, prefix: str = "") -> list[CheckResult]:
-        draws = (self.draw(group, rng) for _ in range(self.count(samples)))
+    def run(self, group: FreeGroup, samples: int, rng: random.Random,
+            prefix: str = "") -> list[CheckResult]:
+        count = max(1, samples // 4) if self.elements else samples if self.words else 1
+        draws = (self.draw(group, rng) for _ in range(count))
         return run_checks(self.checks, draws, prefix)
 
 
 class Suite:
-    """The ``head`` families once, then ``families`` at each genus, on one RNG."""
+    """The ``head`` families once at genus 2, then ``families`` at each genus, on one RNG."""
 
     def __init__(self, families: tuple[Family, ...], head: tuple[Family, ...] = ()):
         self.families, self.head = families, head
 
     def __call__(self, genera, samples: int, seed: int) -> list[CheckResult]:
         rng = random.Random(seed)
-        out = [r for family in self.head for r in family.run(None, samples, rng)]
+        out = [r for family in self.head for r in family.run(FreeGroup(2), samples, rng)]
         for g in genera:
             group = FreeGroup(g)
             for family in self.families:
@@ -218,10 +215,9 @@ def conjugator_soundness(s: Sample) -> bool:
     return found is not None and s.w.conjugated_by(found) == target
 
 
-def turning_values(words: dict) -> Any:
-    """``d`` of each word text, read at genus 2, against its stated value."""
-    group = FreeGroup(2)
-    return _equal(tuple(d(group.word(text)) for text in words), tuple(words.values()))
+def turning_values(table: dict[str, int], s: Sample) -> Any:
+    """``d`` of each word text of the table, read in the sample's group, against its value."""
+    return _equal({text: d(s.group.word(text)) for text in table}, table)
 
 
 def d_product_rule(s: Sample) -> bool:
@@ -248,26 +244,11 @@ def cocycle_rule(cocycle: Callable, s: Sample) -> Any:
     the oracle shares no inverse with the cocycles.  The rule is linear
     in c, so Earle's psi, which ``earle`` computes as integer numerators
     over 2g - 2 and returns as fractions, is checked on the numerators
-    (``psi_cocycle_rule``); every c here is an integer vector.
+    (``psi_numerators``); every c here is an integer vector.
     """
     c1, c2 = cocycle(s.p1), cocycle(s.p2)
     moved = mat_vec(induced_matrix(s.p2), tuple(a - b for a, b in zip(cocycle(s.comp), c2)))
     return _equal(moved, c1)
-
-
-def psi_cocycle_rule(s: Sample) -> Any:
-    """``cocycle_rule`` for psi, run on its numerators; a failure shows psi's fractions.
-
-    The numerators are psi times 2g - 2 exactly, so the rule holds for
-    them just when it holds for psi.  A failure is reported as the same
-    rule on ``earle_psi`` reports it, unless that one holds, which keeps
-    the numerators' mismatch.
-    """
-    verdict = cocycle_rule(psi_numerators, s)
-    if verdict is True:
-        return True
-    shown = cocycle_rule(earle_psi, s)
-    return verdict if shown is True else shown
 
 
 def f_tilde_at_additive(s: Sample) -> bool:
@@ -376,74 +357,75 @@ def coboundary_on_involution(s: Sample) -> Any:
 
 # -- the suites ---------------------------------------------------------------
 
-_TURNING = Family(lambda group, rng: REFERENCE_TURNING, {
-    "turning values on the three reference handle words": turning_values,
-}, _once)
+_TURNING = Family({
+    "turning values on the three reference handle words":
+        lambda s: turning_values(REFERENCE_TURNING, s),
+})
 
 SUITES = {
     "words": Suite((
-        Family(sampler(x=50, y=50, z=50, u=10, w=20), {
+        Family({
             "group laws and reduction": group_laws,
             "text round trip": text_round_trip,
             "cyclic reduction contract": cyclic_reduction_contract,
             "conjugator soundness": conjugator_soundness,
-        }),
-        Family(sampler(), {
+        }, x=50, y=50, z=50, u=10, w=20),
+        Family({
             "zeta has 4g letters": lambda s: _equal(len(s.group.zeta()), 4 * s.group.genus),
             "conjugacy rejects shorter core":
                 lambda s: conjugator(s.group.a(1), s.group.zeta()) is None,
-        }, _once),
+        }),
     )),
     "d-function": Suite((
-        Family(sampler(x=50, y=50), {
+        Family({
             "product rule d(xy) = d(x) + d(y) + [x].[y]": d_product_rule,
             "inversion rule d(x^-1) = -d(x)": d_inversion_rule,
-        }),
-        Family(sampler(), {"d vanishes on generators": d_vanishes_on_generators}, _once),
-    ), head=(_TURNING, Family(lambda group, rng: {"A1 B1": 1}, {
-        "normalization d(alpha beta) = 1": turning_values,
-    }, _once))),
+        }, x=50, y=50),
+        Family({"d vanishes on generators": d_vanishes_on_generators}),
+    ), head=(_TURNING, Family({
+        "normalization d(alpha beta) = 1": lambda s: turning_values({"A1 B1": 1}, s),
+    }))),
     "cocycle-n": Suite((
-        Family(sampler(x=50), {
+        Family({
             "f_tilde on conjugations is 2[x]": lambda s: on_conjugation(f_tilde, 2, s.x),
-        }),
-        Family(sampler(elements=2, x=20, y=20), {
+        }, x=50),
+        Family({
             "twisted cocycle identity for f_tilde": lambda s: cocycle_rule(f_tilde, s),
             "f_tilde_at additive in the argument": f_tilde_at_additive,
             "f_tilde_at equals pairing with dual class": f_tilde_at_is_pairing,
-        }, _quarter),
-        Family(sampler(), {
+        }, elements=2, x=20, y=20),
+        Family({
             "twist catalog fixes the boundary word":
                 lambda s: all(in_M_g1(t) for t in twist_catalog(s.group)),
-        }, _once),
+        }),
     )),
     "descent": Suite((
-        Family(sampler(x=30), {
+        Family({
             "restriction to conjugations is (2-2g)[x]":
                 lambda s: on_conjugation(morita_f, 2 - 2 * s.group.genus, s.x),
-        }),
-        Family(sampler(elements=2), {
+        }, x=30),
+        Family({
             "value independent of witness choice": witness_free(),
             "twisted cocycle identity for f": lambda s: cocycle_rule(morita_f, s),
             "agrees with f_tilde on boundary-fixing elements": boundary_fixing_agreement,
-        }, _quarter),
-        Family(sampler(), {"vanishes on conjugation by zeta": vanishes_on_zeta_conjugation}, _once),
+        }, elements=2),
+        Family({"vanishes on conjugation by zeta": vanishes_on_zeta_conjugation}),
     )),
     "earle": Suite((
-        Family(sampler(x=30), {
+        Family({
             "restriction to conjugations is [x]":
                 lambda s: on_conjugation(psi_numerators, 2 * s.group.genus - 2, s.x),
-        }),
-        Family(sampler(elements=2), {
-            "twisted cocycle identity for psi": psi_cocycle_rule,
+        }, x=30),
+        Family({
+            "twisted cocycle identity for psi": lambda s: cocycle_rule(psi_numerators, s),
             "(2g-2) psi is integral": psi_integral,
-        }, _quarter),
-        Family(sampler(), {
+        }, elements=2),
+        Family({
             "psi is not the bare base point coboundary": psi_is_not_bare_coboundary,
-        }, _once),
+        }),
     )),
     "paper-vectors": Suite((
-        Family(sampler(), {
+        Family({
             "involution squares to the identity": involution_squares,
             "involution negates homology": involution_negates_homology,
             "boundary witness is B_g..B_1 up to a zeta power": boundary_witness,
@@ -453,7 +435,7 @@ SUITES = {
             "rational cocycle on the involution": psi_on_involution,
             "rational cocycle on the composite": psi_on_composite,
             "base point shift on the involution": coboundary_on_involution,
-        }, _once),
+        }),
     ), head=(_TURNING,)),
 }
 

@@ -21,7 +21,8 @@ def _on_paper_elements(checks):
 
 
 def test_criterion_01_turning_reference_values(report_criterion):
-    failed = failures(run_checks({"d": verify.turning_values}, [verify.REFERENCE_TURNING]))
+    check = partial(verify.turning_values, verify.REFERENCE_TURNING)
+    failed = failures(run_checks({"d": check}, [Sample(FreeGroup(2))]))
     report_criterion(1, "turning function reference values (4, 2, -2)", failed)
 
 

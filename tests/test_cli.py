@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 
 from mcgcocycles import (
-    FreeGroup, MembershipError, earle_psi, from_mapping, jablow, random_word, require_membership,
+    FreeGroup, MembershipError, from_mapping, jablow, psi_numerators, random_word,
+    require_membership,
 )
 from mcgcocycles import endomorphism, verify
 from mcgcocycles.cli import EXIT_BROKEN_PIPE, build_parser, main
-from mcgcocycles.verify import SUITES, Sample, cocycle_rule, run_suite, text_round_trip
+from mcgcocycles.verify import (
+    SUITES, Sample, cocycle_rule, run_suite, text_round_trip, turning_values,
+)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -520,7 +523,19 @@ def test_verify_failure_detail_replays(monkeypatch):
     assert [r.name for r in failed] == ["g=3 twisted cocycle identity for psi"]
     _, sample, verdict = _replay(failed[0].detail)
     assert verdict.startswith("got ")
-    assert cocycle_rule(earle_psi, sample) == verdict
+    assert cocycle_rule(psi_numerators, sample) == verdict
+
+
+def test_verify_head_failure_detail_replays_at_genus_2(monkeypatch):
+    """A head family draws nothing, so its detail is the genus-2 sample it ran on."""
+    d = verify.d
+    monkeypatch.setattr(verify, "d", lambda w: d(w) + (len(w) == 7))
+    failed = verify.failures(run_suite("paper-vectors", [3], 1, 0))
+    assert [r.name for r in failed] == ["turning values on the three reference handle words"]
+    index, sample, verdict = _replay(failed[0].detail)
+    assert (index, str(sample)) == (0, "g=2")
+    assert "'B1 A1 B1 a1 b1 a1 b1': 5" in verdict
+    assert turning_values(verify.REFERENCE_TURNING, sample) == verdict
 
 
 def test_cocycle_rules_catch_a_wrong_rho_inverse(monkeypatch):

@@ -302,6 +302,9 @@ def test_shapes_that_fit_no_genus_are_refused():
         dual((1, 2, 3))
     with pytest.raises(ValueError, match="^shape mismatch$"):
         mat_vec(((1, 2), (3, 4)), (1, 2, 3))
+    # a short row after the first, which the first row's length alone would not show
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        mat_vec(((1, 2), (3,)), (1, 2))
     # J with a third column, and a 1 x 1 matrix: the packed test alone would pass both
     assert is_symplectic(((0, 1, 5), (-1, 0, 7))) is False
     assert is_symplectic(((1,),)) is False

@@ -79,7 +79,7 @@ def test_syllables_shapes():
 
 
 def test_turning_reference_values():
-    assert verify.turning_values(verify.REFERENCE_TURNING) is True
+    assert verify.turning_values(verify.REFERENCE_TURNING, Sample(FreeGroup(2))) is True
 
 
 def test_turning_normalization_and_small_words():

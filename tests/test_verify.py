@@ -1,5 +1,6 @@
 """verify's entry point, and its checks against broken cocycle values."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -69,3 +70,35 @@ def test_a_sign_flipped_cocycle_fails_its_restriction_to_conjugations(
     assert _failed(suite, (3,), 8, seed) == []
     monkeypatch.setattr(verify, name, _negated(getattr(verify, name)))
     assert f"g=3 {check}" in _failed(suite, (3,), 8, seed)
+
+
+def _count_draws(monkeypatch):
+    """Wrap each family's draw; the returned dict lists each family's samples."""
+    drawn = defaultdict(list)
+    families = {id(f): f for suite in verify.SUITES.values() for f in suite.head + suite.families}
+    for family in families.values():
+        def counted(group, rng, family=family, draw=family.draw):
+            sample = draw(group, rng)
+            drawn[family].append(sample)
+            return sample
+        monkeypatch.setattr(family, "draw", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("genera", [(2,), (2, 3), (3,)])
+@pytest.mark.parametrize("samples", [1, 3, 20])
+def test_each_family_draws_as_many_samples_as_its_draw_asks(monkeypatch, samples, genera):
+    """None drawn: 1; elements built: max(1, samples // 4); words only: samples.
+
+    Per genus, except that a head family draws once per run.
+    """
+    drawn = _count_draws(monkeypatch)
+    for name, suite in verify.SUITES.items():
+        drawn.clear()
+        suite(genera, samples, 0)
+        for family in suite.head + suite.families:
+            first = drawn[family][0]
+            per_genus = max(1, samples // 4) if first.seeds else samples if first.words else 1
+            at = (2,) if family in suite.head else genera
+            want = [g for g in at for _ in range(per_genus)]
+            assert [s.group.genus for s in drawn[family]] == want, (name, list(family.checks))
