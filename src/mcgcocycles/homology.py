@@ -23,7 +23,6 @@ tuples; vectors are flat tuples.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from operator import lshift, mul, neg
 
@@ -118,12 +117,6 @@ def is_symplectic(m: Matrix) -> bool:
     return all(sum(map(mul, col, rows)) == want for col, want in zip(zip(*m), rows_of_j))
 
 
-@lru_cache(maxsize=None)
-def _plus_minus_identity(n: int) -> tuple[Matrix, Matrix]:
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return eye, tuple(tuple(-x for x in row) for row in eye)
-
-
 def symplectic_inverse(m: Matrix) -> Matrix:
     """Exact inverse of a symplectic matrix by the closed form -J m^T J.
 
@@ -135,8 +128,14 @@ def symplectic_inverse(m: Matrix) -> Matrix:
     their own inverses, so they are returned as they are without the
     packed test.
     """
-    # an entry that is_symplectic would refuse (a float, a Fraction) leaves a non-int sum
-    if len(m) % 2 == 0 and m in _plus_minus_identity(len(m)) and type(sum(map(sum, m))) is int:
+    n = len(m)
+    sign = m[0][0] if n and m[0] else 0
+    # row by row: n entries, sign on the diagonal and n - 1 zeros; an entry that
+    # is_symplectic would refuse (a float, a Fraction) leaves a non-int sum
+    if (sign in (1, -1) and n % 2 == 0
+            and all(len(row) == n and row[i] == sign and row.count(0) == n - 1
+                    for i, row in enumerate(m))
+            and type(sum(map(sum, m))) is int):
         return m
     if not is_symplectic(m):
         raise ValueError("matrix is not symplectic, so -J m^T J is not its inverse")

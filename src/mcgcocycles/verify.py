@@ -12,9 +12,12 @@ seeds of ``random_element(FreeGroup(g), 4, seed=S)`` and the word text,
 which rebuild the input.  Every suite draws from one generator in table
 order, so a repeated run is byte-for-byte identical.  The checks call
 the cocycles directly; each element's membership record (``in_N``) is
-the one cache of its values.  Earle's psi is checked on its numerators
-(2g - 2) psi, so its failures show numerators.  The tests run the same
-samplers, checks and runner with their own seeds and counts.
+the one cache of its values.  Each cocycle property is one check:
+``on_conjugation``, ``cocycle_rule``, and ``paper_value``, which compares
+each of the paper's six values with its closed form in g from the table
+``PAPER_VALUES``.  Earle's psi is checked on its numerators (2g - 2) psi
+in the first two, so their failures show numerators.  The tests run the
+same samplers, checks and runner with their own seeds and counts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Optional
 
 from .freegroup import FreeGroup, Word, conjugator, random_word
@@ -186,7 +189,7 @@ class Suite:
 #
 # Checks look the cocycles up in this module's globals when they run, as
 # do the suite table's lambdas that pass one to ``cocycle_rule`` or
-# ``on_conjugation`` (one check per cocycle property), so a wrapper
+# ``on_conjugation`` and the readers of ``PAPER_VALUES``, so a wrapper
 # rebound over those names (as bench/tracing.py does) sees every call.
 
 
@@ -324,35 +327,34 @@ def boundary_witness(s: Sample) -> bool:
     return zeta_power_exponent(_descending_bs(s.group).inverse() * u) is not None
 
 
-def f_tilde_on_involution(s: Sample) -> Any:
-    g = s.group.genus
-    return _equal(f_tilde(s.io), (-2,) * g + tuple(2 * k - 2 * g - 4 for k in range(1, g + 1)))
+# check name -> (the value read off a sample, its closed form at genus g)
+PAPER_VALUES: dict[str, tuple[Callable[[Sample], tuple], Callable[[int], tuple]]] = {
+    "f_tilde on the involution": (
+        lambda s: f_tilde(s.io),
+        lambda g: (-2,) * g + tuple(2 * k - 2 * g - 4 for k in range(1, g + 1))),
+    "f_tilde on the composite with inner B_g..B_1 inverse": (
+        lambda s: f_tilde(s.composite),
+        lambda g: (-2,) * g + tuple(2 * k - 2 * g - 2 for k in range(1, g + 1))),
+    "integral cocycle on the involution": (
+        lambda s: morita_f(s.io),
+        lambda g: (-2,) * g + tuple(2 * k - 4 for k in range(1, g + 1))),
+    "rational cocycle on the involution": (
+        lambda s: earle_psi(s.io),
+        lambda g: tuple(Fraction(v, g - 1) for v in (1,) * g + tuple(-k for k in range(1, g + 1)))),
+    "rational cocycle on the composite": (
+        lambda s: earle_psi(s.composite),
+        lambda g: tuple(Fraction(v, g - 1)
+                        for v in (1,) * g + tuple(g - 1 - k for k in range(1, g + 1)))),
+    "base point shift on the involution": (
+        lambda s: coboundary_a0(s.io),
+        lambda g: tuple(-2 * q for q in a0(g))),
+}
 
 
-def f_tilde_on_composite(s: Sample) -> Any:
-    g = s.group.genus
-    want = (-2,) * g + tuple(2 * k - 2 * g - 2 for k in range(1, g + 1))
-    return _equal(f_tilde(s.composite), want)
-
-
-def morita_f_on_involution(s: Sample) -> Any:
-    g = s.group.genus
-    return _equal(morita_f(s.io), (-2,) * g + tuple(2 * k - 4 for k in range(1, g + 1)))
-
-
-def psi_on_involution(s: Sample) -> Any:
-    g, q = s.group.genus, Fraction(1, s.group.genus - 1)
-    return _equal(earle_psi(s.io), (q,) * g + tuple(-k * q for k in range(1, g + 1)))
-
-
-def psi_on_composite(s: Sample) -> Any:
-    g, q = s.group.genus, Fraction(1, s.group.genus - 1)
-    want = (q,) * g + tuple((g - 1 - k) * q for k in range(1, g + 1))
-    return _equal(earle_psi(s.composite), want)
-
-
-def coboundary_on_involution(s: Sample) -> Any:
-    return _equal(coboundary_a0(s.io), tuple(-2 * q for q in a0(s.group.genus)))
+def paper_value(name: str, s: Sample) -> Any:
+    """The value ``PAPER_VALUES[name]`` reads off the sample against its closed form."""
+    read, closed_form = PAPER_VALUES[name]
+    return _equal(read(s), closed_form(s.group.genus))
 
 
 # -- the suites ---------------------------------------------------------------
@@ -429,12 +431,7 @@ SUITES = {
             "involution squares to the identity": involution_squares,
             "involution negates homology": involution_negates_homology,
             "boundary witness is B_g..B_1 up to a zeta power": boundary_witness,
-            "f_tilde on the involution": f_tilde_on_involution,
-            "f_tilde on the composite with inner B_g..B_1 inverse": f_tilde_on_composite,
-            "integral cocycle on the involution": morita_f_on_involution,
-            "rational cocycle on the involution": psi_on_involution,
-            "rational cocycle on the composite": psi_on_composite,
-            "base point shift on the involution": coboundary_on_involution,
+            **{name: partial(paper_value, name) for name in PAPER_VALUES},
         }),
     ), head=(_TURNING,)),
 }

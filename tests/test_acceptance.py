@@ -20,6 +20,11 @@ def _on_paper_elements(checks):
     return failures(run_checks(checks, [Sample(FreeGroup(g)) for g in range(2, 7)]))
 
 
+def _on_paper_value(name):
+    """The failures of the row ``name`` of ``verify.PAPER_VALUES`` at genus 2..6."""
+    return _on_paper_elements({name: partial(verify.paper_value, name)})
+
+
 def test_criterion_01_turning_reference_values(report_criterion):
     check = partial(verify.turning_values, verify.REFERENCE_TURNING)
     failed = failures(run_checks({"d": check}, [Sample(FreeGroup(2))]))
@@ -27,22 +32,22 @@ def test_criterion_01_turning_reference_values(report_criterion):
 
 
 def test_criterion_02_f_tilde_on_the_involution(report_criterion):
-    failed = _on_paper_elements({"f-tilde": verify.f_tilde_on_involution})
+    failed = _on_paper_value("f_tilde on the involution")
     report_criterion(2, "f-tilde of the involution for genus 2..6", failed)
 
 
 def test_criterion_03_f_tilde_on_the_inner_composite(report_criterion):
-    failed = _on_paper_elements({"f-tilde": verify.f_tilde_on_composite})
+    failed = _on_paper_value("f_tilde on the composite with inner B_g..B_1 inverse")
     report_criterion(3, "f-tilde of inner(B_g..B_1 inverse) composed with the involution", failed)
 
 
 def test_criterion_04_earle_psi_on_the_involution(report_criterion):
-    failed = _on_paper_elements({"earle-psi": verify.psi_on_involution})
+    failed = _on_paper_value("rational cocycle on the involution")
     report_criterion(4, "earle psi of the involution equals (1,..,1,-1,-2,..,-g)/(g-1)", failed)
 
 
 def test_criterion_05_earle_psi_on_the_inner_composite(report_criterion):
-    failed = _on_paper_elements({"earle-psi": verify.psi_on_composite})
+    failed = _on_paper_value("rational cocycle on the composite")
     report_criterion(5, "earle psi of the composite equals (1,..,1,g-2,..,-1)/(g-1)", failed)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -347,3 +348,16 @@ def test_symplectic_inverse_refuses_what_is_close_to_plus_or_minus_identity(g):
             symplectic_inverse(m)
     with pytest.raises(ValueError):
         symplectic_inverse(((1,),))
+
+
+def test_symplectic_inverse_tests_minus_identity_in_place():
+    """At size 1600 (g = 800) no copy of I or -I is built, nor kept."""
+    minus = tuple(tuple(-x for x in row) for row in identity_matrix(1600))
+    tracemalloc.start()
+    try:
+        inverse = symplectic_inverse(minus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inverse is minus
+    assert peak < 1 << 20

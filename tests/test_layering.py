@@ -1,7 +1,8 @@
 """The package's modules import one another one way, only freegroup reads packed words,
-only endomorphism reads an element's caches, and no module but ``__init__`` imports a
-name it never reads.  Each public name is declared once, in its module's ``__all__``,
-which ``__init__`` republishes by star imports, the only ones in the package."""
+only endomorphism reads an element's caches, no module but ``__init__`` imports a
+name it never reads, and no cache grows with its arguments without bound.  Each public
+name is declared once, in its module's ``__all__``, which ``__init__`` republishes by
+star imports, the only ones in the package."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -123,4 +124,35 @@ def test_each_republished_module_declares_names_it_defines():
 def test_no_module_but_init_uses_a_star_import():
     found = [f"{name} line {node.lineno}" for name, tree in MODULES.items() if name != "__init__"
              for node in _star_imports(tree)]
+    assert found == []
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether node is ``name`` or an attribute ``<anything>.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _takes_parameters(fn: ast.FunctionDef) -> bool:
+    a = fn.args
+    return bool(a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+
+
+def test_no_cache_grows_without_bound():
+    """``lru_cache(maxsize=None)``, or ``functools.cache`` on a function that takes
+    parameters, keeps an entry for every argument it meets for the life of the process."""
+    found = []
+    for name, tree in MODULES.items():
+        # @cache on a function without parameters holds one entry
+        single = {id(dec) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not _takes_parameters(fn) for dec in fn.decorator_list}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _names(node.func, "lru_cache"):
+                size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                unbounded = any(isinstance(s, ast.Constant) and s.value is None for s in size)
+            else:
+                unbounded = _names(node, "cache") and id(node) not in single
+            if unbounded:
+                found.append(f"{name} line {node.lineno}")
     assert found == []
