@@ -27,9 +27,10 @@ form in two tables, filled as tokens and codes are first asked for.
 
 Text takes one of two routes.  The form ``str(Word)`` writes at genus
 <= 9, two-character tokens joined by single spaces, is decoded whole:
-byte translates turn the kind and digit characters into one index byte
-per letter, and a per-genus byte table turns those into letter codes,
-all at C speed.  Any other text, and any text holding a token that the
+one ``str.translate`` turns it into hex text and one ``bytes.fromhex``
+into one index byte per letter, which a per-genus byte table turns into
+letter codes, all at C speed; whether two neighbours cancel is read off
+the index bytes.  Any other text, and any text holding a token that the
 table does not know, goes token by token through the code table, the
 only route that raises and words its errors.
 
@@ -180,12 +181,11 @@ def _byte_table(pairs) -> bytes:
     return bytes(table)
 
 
-# a two-character token's kind goes to the high nibble of its index byte and
-# its digit to the low one, so ORing two translates gives the index; any
-# other character translates to 0
-_KIND_NIBBLES = {"A": 0x10, "B": 0x20, "a": 0x30, "b": 0x40}
-_KIND_BITS = _byte_table((ord(kind), bits) for kind, bits in _KIND_NIBBLES.items())
-_DIGIT_BITS = _byte_table(zip(b"123456789", range(1, 10)))
+# canonical text to hex text, a str.translate table: a two-character token's
+# kind goes to the high hex digit of its index byte, A a, B b, a e and b f,
+# so a letter and its inverse differ in bit 0x40 alone, and its digit 1-9 to
+# the low one; any other ASCII character but the space goes to NUL, no hex
+_TO_HEX = dict.fromkeys(range(128), 0) | str.maketrans("ABab123456789 ", "abef123456789 ")
 # the largest genus whose every token is two characters long
 _SHORT_GENUS = 9
 
@@ -202,42 +202,34 @@ class _Table(dict):
         return value
 
 
-def _canonical_codes(text: str, table: bytes) -> Optional[bytes]:
-    """The letters of canonical text as signed bytes, or None for any other text.
+def _canonical_index(text: str) -> Optional[bytes]:
+    """The index bytes of canonical text, one per token, or None for any other text.
 
     Canonical text is what ``str(Word)`` writes at genus <= 9: tokens of
-    two ASCII characters joined by single spaces.  The kind characters
-    and the digit characters each go through one translate, their bytes
-    are ORed as big integers into one index byte per letter, and
-    ``table`` maps the index bytes to letter codes.  A token the table
-    does not know gives a 0 byte, and then None.
+    two ASCII characters joined by single spaces.  One translate turns it
+    into hex text, which ``bytes.fromhex`` decodes; a token's kind is the
+    high hex digit of its index byte and its digit the low one.  Any
+    character but those and the space makes that fail, and then None;
+    a token of two spaces is skipped, as ``str.split`` skips it.
     """
     n = (len(text) + 1) // 3
-    if len(text) != 3 * n - 1 or not text.isascii():
+    if len(text) != 3 * n - 1 or not text.isascii() or text[2::3] != " " * (n - 1):
         return None
-    raw = text.encode("ascii")
-    if raw[2::3] != b" " * (n - 1):
+    try:
+        return bytes.fromhex(text.translate(_TO_HEX))
+    except ValueError:
         return None
-    kinds = int.from_bytes(raw[0::3].translate(_KIND_BITS), "little")
-    digits = int.from_bytes(raw[1::3].translate(_DIGIT_BITS), "little")
-    codes = (kinds | digits).to_bytes(n, "little").translate(table)
-    return None if 0 in codes else codes
 
 
-def _has_cancelling_pair(codes: bytes) -> bool:
-    """Whether two neighbours of a word of signed one-byte letters cancel.
+def _inverse_neighbours(index: bytes) -> bool:
+    """Whether two neighbours of the index bytes of letters are inverse letters.
 
-    Letter i+1 cancels letter i exactly when it equals its negation, so
-    when ``codes[1:]`` XOR the negated ``codes[:-1]`` has a zero byte.
-    Read as one integer x, that holds exactly when
-    ``(x - 0x0101...) & ~x & 0x8080...`` is nonzero.
+    Exactly those differ in bit 0x40 alone, so it is whether a byte of
+    the index XOR the index shifted by one byte, both read as one
+    integer, is 0x40.  The last byte, XOR 0, is a letter, never 0x40.
     """
-    m = len(codes) - 1
-    if m <= 0:
-        return False
-    x = int.from_bytes(codes[1:], "little") ^ int.from_bytes(codes[:-1].translate(_NEG), "little")
-    ones = int.from_bytes(b"\x01" * m, "little")
-    return bool((x - ones) & ~x & (ones << 7))
+    x = int.from_bytes(index, "little")
+    return b"\x40" in (x ^ x >> 8).to_bytes(len(index), "little")
 
 
 class FreeGroup:
@@ -304,15 +296,13 @@ class FreeGroup:
     def letter_bytes(self) -> bytes:
         """Translate table from a token's index byte to its letter code as a signed byte.
 
-        Filled for the valid two-character tokens (genus <= 9 has no
-        other); every other index, a malformed token among them, maps to 0.
+        Filled for the index bytes (``_canonical_index``) of the valid
+        two-character tokens (genus <= 9 has no other); every other index,
+        a malformed token among them, maps to 0.
         """
-        code = self.letter_code
-        return _byte_table(
-            (bits | i, code(kind.upper(), i, 1 if kind.isupper() else -1) & 0xFF)
-            for kind, bits in _KIND_NIBBLES.items()
-            for i in range(1, min(self.genus, _SHORT_GENUS) + 1)
-        )
+        indices = range(1, min(self.genus, _SHORT_GENUS) + 1)
+        tokens = [f"{kind}{i}" for kind in "ABab" for i in indices]
+        return _byte_table((_canonical_index(t)[0], self._code(t) & 0xFF) for t in tokens)
 
     @cached_property
     def handle_tables(self) -> tuple[tuple[bytes, bytes, bytes, bytes, bytes, int], ...]:
@@ -358,8 +348,8 @@ class FreeGroup:
         """Parse word text.
 
         Canonical text, the form ``str(Word)`` writes at genus <= 9, is
-        decoded whole at C speed (``_canonical_codes``); only a word with
-        a cancelling pair then takes a stack pass.  Any other text is
+        decoded whole at C speed (``_canonical_index``); only a word with
+        inverse neighbours then takes a stack pass.  Any other text is
         looked up token by token in the per-genus code table, which
         decodes a token on first sight; the first bad token raises.
 
@@ -378,14 +368,14 @@ class FreeGroup:
         ...
         ValueError: generator index 3 out of range 1..2
         """
-        codes = None
-        if self.genus <= _SHORT_GENUS:
-            codes = _canonical_codes(text, self.letter_bytes)
-        if codes is None:
-            return Word(self, filter(None, map(self.codes.__getitem__, text.split())))
-        if _has_cancelling_pair(codes):
-            return Word(self, memoryview(codes).cast("b"))
-        return Word._from_reduced(self, codes)
+        index = _canonical_index(text) if self.genus <= _SHORT_GENUS else None
+        if index is not None:
+            codes = index.translate(self.letter_bytes)
+            if 0 not in codes:
+                if _inverse_neighbours(index):
+                    return Word(self, memoryview(codes).cast("b"))
+                return Word._from_reduced(self, codes)
+        return Word(self, filter(None, map(self.codes.__getitem__, text.split())))
 
     def zeta(self) -> "Word":
         """The boundary word [A_1, B_1] ... [A_g, B_g], 4g letters; built once per genus."""

@@ -11,7 +11,9 @@ plain ``Endo`` keep the kernel's coverage of cancelling conjugates.
 The word sampler is compared with its ``randint`` loop.
 """
 
+import itertools
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,6 +407,26 @@ def test_canonical_text_decode_matches_oracle(g, data):
         assert F.word(text).letters == want
 
 
+SHORT_TEXTS = [*string.printable, *map("".join, itertools.product(string.printable, repeat=2))]
+
+
+@pytest.mark.parametrize("g", (2, 5, 9))
+def test_every_short_text_decodes_as_the_token_route(g):
+    """Every text of one or two printable ASCII characters, alone and followed
+    by `` A1``: the whole-text decode takes no token that the token route
+    refuses, and the errors are the token route's."""
+    F = FreeGroup(g)
+    for text in (*SHORT_TEXTS, *(pair + " A1" for pair in SHORT_TEXTS[len(string.printable):])):
+        try:
+            want = word_oracle.parse(F, text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                F.word(text)
+            assert str(got.value) == str(exc), repr(text)
+        else:
+            assert F.word(text).letters == want, repr(text)
+
+
 class _Tripwire:
     """A code table that fails the test when the token route reads it."""
 
@@ -419,13 +441,13 @@ def test_printed_words_take_the_whole_text_decode_up_to_genus_9(g, monkeypatch):
     words = [F.zeta(), *F.generators()]
     words += [random_word(F, rng.randint(1, 300), rng) for _ in range(20)]
     decoded = []
-    decode = freegroup._canonical_codes
+    decode = freegroup._canonical_index
 
-    def spy(text, table):
-        decoded.append(decode(text, table))
+    def spy(text):
+        decoded.append(decode(text))
         return decoded[-1]
 
-    monkeypatch.setattr(freegroup, "_canonical_codes", spy)
+    monkeypatch.setattr(freegroup, "_canonical_index", spy)
     if g <= 9:
         monkeypatch.setattr(F, "codes", _Tripwire())
     for w in words:
@@ -454,20 +476,24 @@ def _reduced_with(group, fixed: dict, length: int, rng) -> list:
 
 
 def test_cancelling_pair_detector_at_every_position_and_letter_byte():
-    """Every letter code at g = 9, bytes 0x01..0x12 and 0xEE..0xFF, at every
-    position of a 40-letter word: followed by its inverse the pair is found,
-    followed by any other letter nothing is."""
+    """Every letter at g = 9, index bytes 0xA1..0xB9 and 0xE1..0xF9, at every
+    position of a 40-letter word: followed by its inverse the pair is found;
+    followed by the other kind of its handle, whose index byte differs in
+    bit 0x10 as well, or by any other letter, nothing is."""
     rng = random.Random(41)
     F = FreeGroup(9)
+    g = F.genus
     codes = [c for c in range(-F.rank, F.rank + 1) if c]
     for c in codes:
+        # c's handle, the other kind, the inverse sign: A_k b_k, a_k B_k, B_k a_k, b_k A_k
+        near = F.letter_code("B" if abs(c) <= g else "A", (abs(c) - 1) % g + 1, -1 if c > 0 else 1)
         for i in range(39):
             other = rng.choice([x for x in codes if x != -c])
-            for follower, cancels in ((-c, True), (other, False)):
+            for follower, cancels in ((-c, True), (near, False), (other, False)):
                 letters = _reduced_with(F, {i: c, i + 1: follower}, 40, rng)
-                packed = bytes(x & 0xFF for x in letters)
-                assert freegroup._has_cancelling_pair(packed) is cancels, (letters, i)
                 text = " ".join(map(F.tokens.__getitem__, letters))
+                index = freegroup._canonical_index(text)
+                assert freegroup._inverse_neighbours(index) is cancels, (letters, i)
                 assert F.word(text).letters == word_oracle.parse(F, text)
 
 
